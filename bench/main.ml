@@ -1305,7 +1305,7 @@ let perf () =
   hr "Kernel perf: event scheduling and broadcast hot paths";
   print_endline
     "Host-time throughput of the simulation kernel (not simulated time):\n\
-     the calendar event queue vs the reference binary heap, the bitmask\n\
+     the event queue on uniform and bursty churn, the bitmask\n\
      destination-set send vs the legacy list send, and end-to-end events/s\n\
      of a whole tiny simulation. Absolute numbers are machine-dependent;\n\
      the ratios and the cross-PR trend are what the trajectory tracks.";
@@ -1314,31 +1314,50 @@ let perf () =
     f ();
     Unix.gettimeofday () -. t0
   in
-  (* 1. Empty-handler churn: schedule-then-drain batches, the pure
-     queue-discipline cost with no protocol work at all. *)
-  let churn queue =
-    let batches = if !quick then 60 else 200 in
-    let per_batch = 4096 in
+  (* 1. Empty-handler churn, the pure queue-discipline cost with no
+     protocol work at all. Uniform: schedule-then-drain batches of
+     keys spread evenly over 65 ns. Bursty: the shape of broadcast
+     fan-out traffic, where each burst event schedules ~100 events
+     inside a 500 ps window, while a sparse set of far timers (watchdog
+     and retry timeouts) sits deep in the queue. *)
+  let batches = if !quick then 60 else 200 in
+  let churn schedule =
+    let events = ref 0 in
     let dt =
       time_s (fun () ->
           for _ = 1 to batches do
-            let e = Sim.Engine.create ~queue () in
-            for i = 1 to per_batch do
-              Sim.Engine.schedule_in e
-                (Sim.Time.ps ((i * 7919) land 0xffff))
-                (fun () -> ())
-            done;
-            Sim.Engine.run e
+            let e = Sim.Engine.create () in
+            schedule e;
+            Sim.Engine.run e;
+            events := !events + Sim.Engine.events_processed e
           done)
     in
-    float_of_int (batches * per_batch) /. dt
+    float_of_int !events /. dt
   in
-  let cal_eps = churn Sim.Engine.Calendar in
-  let heap_eps = churn Sim.Engine.Binheap in
-  Printf.printf "engine churn (4096-event batches, empty handlers):\n";
-  Printf.printf "  %-28s %12.3g events/s\n" "calendar queue" cal_eps;
-  Printf.printf "  %-28s %12.3g events/s\n" "binary heap" heap_eps;
-  Printf.printf "  %-28s %12.2fx\n" "calendar/heap" (cal_eps /. heap_eps);
+  let uniform e =
+    for i = 1 to 4096 do
+      Sim.Engine.schedule_in e (Sim.Time.ps ((i * 7919) land 0xffff)) (fun () -> ())
+    done
+  in
+  let bursty e =
+    let bursts = 40 and burst = 100 and window = 500 and gap = 2000 in
+    let span = bursts * gap in
+    for i = 1 to 64 do
+      Sim.Engine.schedule_in e (Sim.Time.ps ((span / 2) + (i * 7919 mod span))) (fun () -> ())
+    done;
+    let rec burst_at b () =
+      for i = 1 to burst do
+        Sim.Engine.schedule_in e (Sim.Time.ps (i * 7919 mod window)) (fun () -> ())
+      done;
+      if b < bursts then Sim.Engine.schedule_in e (Sim.Time.ps gap) (burst_at (b + 1))
+    in
+    Sim.Engine.schedule_in e Sim.Time.zero (burst_at 1)
+  in
+  let uniform_eps = churn uniform in
+  let bursty_eps = churn bursty in
+  Printf.printf "engine churn (empty handlers):\n";
+  Printf.printf "  %-28s %12.3g events/s\n" "uniform (4096-event batches)" uniform_eps;
+  Printf.printf "  %-28s %12.3g events/s\n" "bursty (100 per 500 ps)" bursty_eps;
   (* 2. Broadcast storm: all-caches fan-out on a 4-CMP fabric,
      multi-word bitset destsets vs the legacy sorted-list path. *)
   let storm use_set =
@@ -1382,8 +1401,10 @@ let perf () =
     list_sps list_mwps;
   Printf.printf "  %-28s %12.2fx\n" "set/list" (set_sps /. list_sps);
   (* 3. Whole-simulation events/s: protocol + caches + fabric, the
-     number the wall-clock claims of this trajectory cash out in. *)
-  let sim_eps, sim_mwpe =
+     number the wall-clock claims of this trajectory cash out in. Five
+     samples, so a before/after pair has n = 5 per side; the headline
+     is their median. *)
+  let sim_sample () =
     let config = Mcmp.Config.tiny in
     let wl = { (Workload.Locking.default ~nlocks:4) with Workload.Locking.acquires = 10 } in
     let programs = Workload.Locking.programs wl ~seed:1 ~nprocs:(Mcmp.Config.nprocs config) in
@@ -1407,8 +1428,14 @@ let perf () =
     let minor_words = Gc.minor_words () -. !mw0 in
     (float_of_int !events /. dt, minor_words /. float_of_int !events)
   in
-  Printf.printf "tiny TokenCMP-dst1 simulation:  %12.3g events/s  %.1f minor words/event\n"
-    sim_eps sim_mwpe;
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let samples = List.init 5 (fun _ -> sim_sample ()) in
+  let sim_eps_samples = List.map fst samples in
+  let sim_eps = median sim_eps_samples in
+  let sim_mwpe = median (List.map snd samples) in
+  Printf.printf
+    "tiny TokenCMP-dst1 simulation:  %12.3g events/s (median of %d)  %.1f minor words/event\n"
+    sim_eps (List.length samples) sim_mwpe;
   if !section_walls <> [] then begin
     Printf.printf "wall clock of sections run in this invocation:\n";
     List.iter (fun (n, w) -> Printf.printf "  %-10s %8.1f s\n" n w) !section_walls
@@ -1418,9 +1445,8 @@ let perf () =
       ( "engine_churn",
         J.Obj
           [
-            ("calendar_events_per_s", J.Float cal_eps);
-            ("binheap_events_per_s", J.Float heap_eps);
-            ("speedup", J.Float (cal_eps /. heap_eps));
+            ("uniform_events_per_s", J.Float uniform_eps);
+            ("bursty_events_per_s", J.Float bursty_eps);
           ] );
       ( "broadcast_storm",
         J.Obj
@@ -1432,6 +1458,7 @@ let perf () =
             ("send_list_minor_words_per_send", J.Float list_mwps);
           ] );
       ("tiny_sim_events_per_s", J.Float sim_eps);
+      ("tiny_sim_events_per_s_samples", J.List (List.map (fun x -> J.Float x) sim_eps_samples));
       ("tiny_sim_minor_words_per_event", J.Float sim_mwpe);
       ( "section_wall_clock_s",
         J.Obj (List.map (fun (n, w) -> (n, J.Float w)) !section_walls) );

@@ -1,19 +1,30 @@
-type 'a line = { mutable addr : Addr.t; mutable state : 'a option; mutable used : int }
-
+(* Structure of arrays, one slot per line, row-major by set: a probe of
+   a set reads one contiguous run of [tags] and touches [states] only on
+   a tag match, so the broadcast no-op probe (block absent) never leaves
+   the tag run. A free slot holds [None] in [states] and -1 in [tags];
+   its stamp is stale and never read. *)
 type 'a t = {
   nsets : int;
   nways : int;
-  lines : 'a line array; (* nsets * nways, row-major *)
+  tags : Addr.t array;
+  stamps : int array; (* LRU: tick of the last insert/touch *)
+  states : 'a option array;
   mutable tick : int;
   mutable population : int;
 }
 
 let create ~sets ~ways =
   assert (sets > 0 && ways > 0);
-  let lines =
-    Array.init (sets * ways) (fun _ -> { addr = -1; state = None; used = 0 })
-  in
-  { nsets = sets; nways = ways; lines; tick = 0; population = 0 }
+  let n = sets * ways in
+  {
+    nsets = sets;
+    nways = ways;
+    tags = Array.make n (-1);
+    stamps = Array.make n 0;
+    states = Array.make n None;
+    tick = 0;
+    population = 0;
+  }
 
 let population t = t.population
 let sets t = t.nsets
@@ -21,63 +32,69 @@ let ways t = t.nways
 
 let base t a = Addr.set_index ~sets:t.nsets a * t.nways
 
-let find_line t a =
-  let b = base t a in
-  let rec scan i =
-    if i >= t.nways then None
-    else
-      let line = t.lines.(b + i) in
-      if line.state <> None && line.addr = a then Some line else scan (i + 1)
-  in
-  scan 0
+(* Slot holding [a], or -1. A loop, not a local recursive function,
+   which would allocate a closure per probe. *)
+let slot t a =
+  let i = ref (base t a) and found = ref (-1) in
+  let last = !i + t.nways in
+  while !i < last do
+    if t.tags.(!i) = a && t.states.(!i) != None then begin
+      found := !i;
+      i := last
+    end
+    else incr i
+  done;
+  !found
 
-let find t a = match find_line t a with None -> None | Some l -> l.state
-let mem t a = find_line t a <> None
+let find t a =
+  let i = slot t a in
+  if i < 0 then None else t.states.(i)
+
+let mem t a = slot t a >= 0
 
 let touch t a =
-  match find_line t a with
-  | None -> ()
-  | Some line ->
+  let i = slot t a in
+  if i >= 0 then begin
     t.tick <- t.tick + 1;
-    line.used <- t.tick
+    t.stamps.(i) <- t.tick
+  end
 
-let lru_line t a =
+(* Replacement slot of [a]'s set: the first free way, else the least
+   recently used one. *)
+let lru_slot t a =
   let b = base t a in
-  let best = ref t.lines.(b) in
-  for i = 1 to t.nways - 1 do
-    let line = t.lines.(b + i) in
-    if line.state = None then begin
-      if !best.state <> None then best := line
+  let best = ref b in
+  for i = b + 1 to b + t.nways - 1 do
+    if t.states.(i) == None then begin
+      if t.states.(!best) != None then best := i
     end
-    else if !best.state <> None && line.used < !best.used then best := line
+    else if t.states.(!best) != None && t.stamps.(i) < t.stamps.(!best) then best := i
   done;
   !best
 
 let victim_for t a =
   if mem t a then None
   else
-    let line = lru_line t a in
-    match line.state with None -> None | Some st -> Some (line.addr, st)
+    let i = lru_slot t a in
+    match t.states.(i) with None -> None | Some st -> Some (t.tags.(i), st)
 
 let insert t a st =
   if mem t a then invalid_arg "Sarray.insert: block already resident";
-  let line = lru_line t a in
-  if line.state <> None then invalid_arg "Sarray.insert: set full";
-  line.addr <- a;
-  line.state <- Some st;
+  let i = lru_slot t a in
+  if t.states.(i) != None then invalid_arg "Sarray.insert: set full";
+  t.tags.(i) <- a;
+  t.states.(i) <- Some st;
   t.tick <- t.tick + 1;
-  line.used <- t.tick;
+  t.stamps.(i) <- t.tick;
   t.population <- t.population + 1
 
 let remove t a =
-  match find_line t a with
-  | None -> ()
-  | Some line ->
-    line.state <- None;
-    line.addr <- -1;
+  let i = slot t a in
+  if i >= 0 then begin
+    t.states.(i) <- None;
+    t.tags.(i) <- -1;
     t.population <- t.population - 1
+  end
 
 let iter f t =
-  Array.iter
-    (fun line -> match line.state with None -> () | Some st -> f line.addr st)
-    t.lines
+  Array.iteri (fun i st -> match st with None -> () | Some st -> f t.tags.(i) st) t.states

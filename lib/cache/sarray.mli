@@ -4,7 +4,12 @@
     resident block. Replacement is split into two steps so that the
     protocol can perform a writeback before the victim disappears:
     {!victim_for} names the block that would have to leave, the protocol
-    handles it, then calls {!remove} and {!insert}. *)
+    handles it, then calls {!remove} and {!insert}.
+
+    The lines are stored as three flat arrays (tags, LRU stamps,
+    states), set by set, so a lookup that misses reads only the set's
+    run of integer tags. Creating an array is three allocations however
+    large it is. *)
 
 type 'a t
 

@@ -1,17 +1,17 @@
-(** Array-based binary min-heap keyed by [(key, seq)] pairs.
+(** The event queue: a 4-ary min-heap keyed by [(key, seq)] pairs.
 
     [seq] breaks ties so that elements with equal keys pop in insertion
     order, which keeps event processing deterministic.
 
-    This is the reference priority queue: {!Calqueue} must agree with it
-    on the exact pop order (the engine's differential tests pin this),
-    and it serves as the overflow far-list inside the calendar queue. *)
+    Keys and seqs live in parallel int arrays, next to a third int
+    array that names each entry's slot in a values array. A sift moves
+    only integers and a value stays in its slot from push to pop, so
+    push and pop allocate nothing (apart from doubling the arrays when
+    they fill) and run no write barrier while sifting. A popped or
+    cleared value is dropped from its slot at once, so the heap never
+    keeps dead values reachable. *)
 
 type 'a t
-
-(** Heap entries are exposed read-only so {!pop_entry} can hand back the
-    record allocated at push time without re-boxing it into a tuple. *)
-type 'a entry = private { key : int; seq : int; value : 'a }
 
 val create : unit -> 'a t
 val length : 'a t -> int
@@ -24,17 +24,17 @@ val push : 'a t -> key:int -> seq:int -> 'a -> unit
     @raise Invalid_argument if the heap is empty. *)
 val pop : 'a t -> int * int * 'a
 
-(** [pop_entry h] removes and returns the minimum element as the entry
-    record it was stored under — no fresh allocation on the pop side.
+(** [pop_value h] removes the minimum element and returns only its
+    value, without allocating a tuple; read {!min_key} first for its
+    key. The engine's run loop pops this way.
     @raise Invalid_argument if the heap is empty. *)
-val pop_entry : 'a t -> 'a entry
+val pop_value : 'a t -> 'a
 
 (** [peek_key h] returns the minimum key without removing it. *)
 val peek_key : 'a t -> int option
 
 (** Non-allocating {!peek_key}: the minimum key, or [max_int] when the
-    heap is empty (keys are simulated times, far below [max_int]). The
-    engine's run loop polls this every event. *)
+    heap is empty (keys are simulated times, far below [max_int]). *)
 val min_key : 'a t -> int
 
 val clear : 'a t -> unit

@@ -111,6 +111,125 @@ let prop_population =
       Cache.Sarray.iter (fun _ _ -> incr n) s;
       !n = Cache.Sarray.population s && !n <= 8)
 
+(* Differential property: the flat [Sarray] against a reference model
+   kept the simple way. Per set, the model holds the ways in slot order
+   ([None] = free) and the residents most-recently-used first. Random
+   operation sequences on 1-4 sets of 1-4 ways must agree on every
+   answer, on which way a fill takes when the set has a free one (the
+   first free way), on [iter] order (set by set, way by way) and on
+   [population]. *)
+type sarray_op =
+  | Insert of int
+  | Remove of int
+  | Touch of int
+  | Find of int
+  | Victim of int
+  | Fill of int (* evict [victim_for]'s choice if any, then insert *)
+  | Iter
+
+let gen_sarray_case =
+  let open QCheck.Gen in
+  let addr = int_range 0 23 in
+  let op =
+    frequency
+      [
+        (2, map (fun a -> Insert a) addr);
+        (2, map (fun a -> Remove a) addr);
+        (2, map (fun a -> Touch a) addr);
+        (2, map (fun a -> Find a) addr);
+        (2, map (fun a -> Victim a) addr);
+        (4, map (fun a -> Fill a) addr);
+        (1, return Iter);
+      ]
+  in
+  triple (int_range 1 4) (int_range 1 4) (list_size (int_range 0 200) op)
+
+let prop_sarray_model =
+  QCheck.Test.make ~name:"flat Sarray matches list-per-set LRU model" ~count:500
+    (QCheck.make gen_sarray_case)
+    (fun (sets, ways, ops) ->
+      let s = Cache.Sarray.create ~sets ~ways in
+      let slots = Array.make sets (List.init ways (fun _ -> None)) in
+      let lru = Array.make sets [] in
+      let set a = a mod sets in
+      let resident a = List.mem a lru.(set a) in
+      let has_free a = List.mem None slots.(set a) in
+      let state a =
+        List.find_map (function Some (b, st) when b = a -> Some st | _ -> None) slots.(set a)
+      in
+      let use a = lru.(set a) <- a :: List.filter (( <> ) a) lru.(set a) in
+      let m_victim a =
+        if resident a || has_free a then None
+        else
+          let v = List.nth lru.(set a) (ways - 1) in
+          Some (v, Option.get (state v))
+      in
+      let m_insert a st =
+        let placed = ref false in
+        slots.(set a) <-
+          List.map
+            (function
+              | None when not !placed ->
+                placed := true;
+                Some (a, st)
+              | w -> w)
+            slots.(set a);
+        use a
+      in
+      let m_remove a =
+        slots.(set a) <- List.map (function Some (b, _) when b = a -> None | w -> w) slots.(set a);
+        lru.(set a) <- List.filter (( <> ) a) lru.(set a)
+      in
+      let m_iter () = List.concat_map (List.filter_map Fun.id) (Array.to_list slots) in
+      let s_iter () =
+        let acc = ref [] in
+        Cache.Sarray.iter (fun a st -> acc := (a, st) :: !acc) s;
+        List.rev !acc
+      in
+      let agree () =
+        let m = m_iter () in
+        s_iter () = m && Cache.Sarray.population s = List.length m
+      in
+      let ok = ref true in
+      let check b = ok := !ok && b in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Insert a -> (
+            let expect =
+              if resident a then Some "Sarray.insert: block already resident"
+              else if not (has_free a) then Some "Sarray.insert: set full"
+              else None
+            in
+            match Cache.Sarray.insert s a i with
+            | () ->
+              check (expect = None);
+              m_insert a i
+            | exception Invalid_argument msg -> check (expect = Some msg))
+          | Remove a ->
+            Cache.Sarray.remove s a;
+            m_remove a
+          | Touch a ->
+            Cache.Sarray.touch s a;
+            if resident a then use a
+          | Find a -> check (Cache.Sarray.find s a = state a)
+          | Victim a -> check (Cache.Sarray.victim_for s a = m_victim a)
+          | Fill a ->
+            if not (resident a) then begin
+              let v = Cache.Sarray.victim_for s a in
+              check (v = m_victim a);
+              Option.iter
+                (fun (b, _) ->
+                  Cache.Sarray.remove s b;
+                  m_remove b)
+                v;
+              Cache.Sarray.insert s a i;
+              m_insert a i
+            end
+          | Iter -> check (agree ()))
+        ops;
+      !ok && agree ())
+
 let tests =
   [
     Alcotest.test_case "byte/block round trip" `Quick test_addr_roundtrip;
@@ -124,4 +243,5 @@ let tests =
     Alcotest.test_case "iter" `Quick test_sarray_iter;
     QCheck_alcotest.to_alcotest prop_lru;
     QCheck_alcotest.to_alcotest prop_population;
+    QCheck_alcotest.to_alcotest prop_sarray_model;
   ]

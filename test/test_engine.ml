@@ -83,22 +83,48 @@ let test_find_ext () =
   Alcotest.(check (option int)) "most recent first" (Some 2)
     (Sim.Engine.find_ext e (function A n -> Some n | _ -> None))
 
-(* The calendar queue must drive the engine exactly like the reference
-   binary heap: a self-scheduling cascade (each event reschedules with
-   pseudo-random delays, including zero-delay ties) must execute in the
-   identical order on both. *)
-let run_cascade kind =
-  let e = Sim.Engine.create ~queue:kind () in
+(* The engine must run events exactly like a reference engine built
+   the obvious way on the boxed binary heap of test/ref_heap.ml: a
+   self-scheduling cascade (each event reschedules with pseudo-random
+   delays, including zero-delay ties) must execute in the identical
+   order on both. An engine here is [(schedule_in, now, run)], where
+   [run] drains the queue and returns the number of events run. *)
+let sim_engine () =
+  let e = Sim.Engine.create () in
+  ( Sim.Engine.schedule_in e,
+    (fun () -> Sim.Engine.now e),
+    fun () ->
+      Sim.Engine.run e;
+      Sim.Engine.events_processed e )
+
+let ref_engine () =
+  let q = Ref_heap.create () and now = ref 0 and seq = ref 0 in
+  let schedule_in delay f =
+    incr seq;
+    Ref_heap.push q ~key:(!now + delay) ~seq:!seq f
+  in
+  let rec run n =
+    if Ref_heap.is_empty q then n
+    else begin
+      let time, _, f = Ref_heap.pop q in
+      now := time;
+      f ();
+      run (n + 1)
+    end
+  in
+  (schedule_in, (fun () -> !now), fun () -> run 0)
+
+let run_cascade (schedule_in, now, run) =
   let rng = Sim.Rng.create 42 in
   let log = ref [] in
   let next_id = ref 0 in
   let rec spawn depth =
     let id = !next_id in
     incr next_id;
-    Sim.Engine.schedule_in e
+    schedule_in
       (Sim.Time.ps (Sim.Rng.int rng 5000))
       (fun () ->
-        log := (id, Sim.Engine.now e) :: !log;
+        log := (id, now ()) :: !log;
         if depth < 12 then
           for _ = 1 to 1 + Sim.Rng.int rng 2 do
             spawn (depth + 1)
@@ -107,19 +133,37 @@ let run_cascade kind =
   for _ = 1 to 8 do
     spawn 0
   done;
-  Sim.Engine.run e;
-  (List.rev !log, Sim.Engine.events_processed e, Sim.Engine.now e)
+  let n = run () in
+  (List.rev !log, n, now ())
 
 let test_queue_differential () =
-  let cal_log, cal_n, cal_t = run_cascade Sim.Engine.Calendar in
-  let heap_log, heap_n, heap_t = run_cascade Sim.Engine.Binheap in
-  Alcotest.(check int) "event counts" heap_n cal_n;
-  Alcotest.(check int) "final clocks" heap_t cal_t;
-  Alcotest.(check bool) "identical event order" true (cal_log = heap_log)
+  let sim_log, sim_n, sim_t = run_cascade (sim_engine ()) in
+  let ref_log, ref_n, ref_t = run_cascade (ref_engine ()) in
+  Alcotest.(check int) "event counts" ref_n sim_n;
+  Alcotest.(check int) "final clocks" ref_t sim_t;
+  Alcotest.(check bool) "identical event order" true (sim_log = ref_log)
 
-let test_default_queue () =
-  Alcotest.(check bool) "calendar by default" true
-    (Sim.Engine.default_queue () = Sim.Engine.Calendar)
+(* Executed events must not stay reachable from the engine: the run
+   loop pops through [Heap.pop_value], which must drop each closure
+   from its value slot. *)
+let test_run_releases_events () =
+  let e = Sim.Engine.create () in
+  let n = 16 in
+  let w = Weak.create n in
+  let sum = ref 0 in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Sim.Engine.schedule_in e (Sim.Time.ns (n - i)) (fun () -> sum := !sum + !v)
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check int) "all ran" (n * (n - 1) / 2) !sum;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "event %d collected" i) true (Weak.get w i = None)
+  done;
+  (* Using the engine afterwards keeps it, and its queue, reachable. *)
+  Alcotest.(check int) "events" n (Sim.Engine.events_processed e)
 
 let test_time_units () =
   Alcotest.(check int) "us" (Sim.Time.ns 1000) (Sim.Time.us 1);
@@ -137,7 +181,7 @@ let tests =
     Alcotest.test_case "timer cancellation" `Quick test_timer_cancel;
     Alcotest.test_case "max_events guard" `Quick test_max_events;
     Alcotest.test_case "find_ext recognizer lookup" `Quick test_find_ext;
-    Alcotest.test_case "calendar vs heap queue differential" `Quick test_queue_differential;
-    Alcotest.test_case "default queue is calendar" `Quick test_default_queue;
+    Alcotest.test_case "engine vs reference heap differential" `Quick test_queue_differential;
+    Alcotest.test_case "executed events are released" `Quick test_run_releases_events;
     Alcotest.test_case "time unit conversions" `Quick test_time_units;
   ]

@@ -35,7 +35,9 @@ let protocols =
       Tokencmp.Protocols.token Token.Policy.dst1_mcast;
     ]
 
-let run_protocol (p : Tokencmp.Protocols.t) =
+(* [?buffer] and [?registry] attach the observability sink and metrics
+   registry; neither may change a simulated bit. *)
+let run_protocol ?buffer ?registry (p : Tokencmp.Protocols.t) =
   let config = Mcmp.Config.tiny in
   let wl =
     { (Workload.Locking.default ~nlocks) with Workload.Locking.acquires }
@@ -43,7 +45,10 @@ let run_protocol (p : Tokencmp.Protocols.t) =
   let programs =
     Workload.Locking.programs wl ~seed:workload_seed ~nprocs:(Mcmp.Config.nprocs config)
   in
-  let r = Mcmp.Runner.run ~config p.Tokencmp.Protocols.builder ~programs ~seed:workload_seed in
+  let r =
+    Mcmp.Runner.run ~config ?buffer ?registry p.Tokencmp.Protocols.builder ~programs
+      ~seed:workload_seed
+  in
   let c = r.Mcmp.Runner.counters in
   {
     g_protocol = p.Tokencmp.Protocols.name;
@@ -105,8 +110,7 @@ let expected : golden list = [
     g_intra_bytes = 14592; g_inter_bytes = 4032 };
 ]
 
-let check_one (p : Tokencmp.Protocols.t) () =
-  let actual = run_protocol p in
+let check_against_expected actual =
   match List.find_opt (fun g -> g.g_protocol = actual.g_protocol) expected with
   | None ->
     Alcotest.failf "no golden entry for %s — run with GOLDEN_REGEN=1 to generate"
@@ -124,23 +128,22 @@ let check_one (p : Tokencmp.Protocols.t) () =
     ck "intra_bytes" exp.g_intra_bytes actual.g_intra_bytes;
     ck "inter_bytes" exp.g_inter_bytes actual.g_inter_bytes
 
-(* Differential golden: every protocol, rerun with the engine forced
-   onto the reference binary heap, must reproduce the calendar-queue
-   results bit-for-bit — runtime, event count, traffic, everything.
-   This is the whole-system version of the queue-equivalence property:
-   the two queues realise the same (time, seq) order, so the simulated
-   machine cannot tell them apart. *)
-let check_queue_differential (p : Tokencmp.Protocols.t) () =
-  let on_heap =
-    Sim.Engine.set_default_queue Sim.Engine.Binheap;
-    Fun.protect
-      ~finally:(fun () -> Sim.Engine.set_default_queue Sim.Engine.Calendar)
-      (fun () -> run_protocol p)
-  in
-  let on_cal = run_protocol p in
+let check_one p () = check_against_expected (run_protocol p)
+
+(* The same snapshot with tracing on: every protocol, run with an event
+   buffer and a metrics registry attached, must still hit its committed
+   values exactly. Traced runs (profiler, trace export, the layer
+   ledger) are only comparable to untraced ones because the
+   instrumentation is read-only. *)
+let check_traced (p : Tokencmp.Protocols.t) () =
+  let buffer = Obs.Buffer.create ~capacity:1_000_000 () in
+  let registry = Obs.Registry.create () in
+  let actual = run_protocol ~buffer ~registry p in
   Alcotest.(check bool)
-    (p.Tokencmp.Protocols.name ^ " identical on both queues")
-    true (on_heap = on_cal)
+    (p.Tokencmp.Protocols.name ^ " trace events recorded")
+    true
+    (Obs.Buffer.recorded buffer > 0);
+  check_against_expected actual
 
 let regen () =
   print_endline "let expected : golden list = [";
@@ -160,7 +163,6 @@ let tests =
     @ List.map
         (fun p ->
           Alcotest.test_case
-            ("binheap differential: " ^ p.Tokencmp.Protocols.name)
-            `Quick
-            (check_queue_differential p))
+            ("traced golden: " ^ p.Tokencmp.Protocols.name)
+            `Quick (check_traced p))
         protocols
