@@ -112,21 +112,23 @@ let fig3 () =
 (* Shared renderer for model-checking result tables (sec5 and the
    tab4 scale-up comparison). *)
 let print_mc_rows rows =
-  Printf.printf "%-22s %11s %12s %9s %9s %7s %6s %s\n" "Model" "states" "transitions"
-    "diameter" "goals" "doomed" "LoC" "verdict";
+  Printf.printf "%-22s %11s %12s %9s %9s %7s %6s %9s %s\n" "Model" "states" "transitions"
+    "diameter" "goals" "doomed" "LoC" "host s" "verdict";
   List.iter
-    (fun (name, s, loc) ->
-      Printf.printf "%-22s %11d %12d %9d %9d %7s %6d %s\n" name s.Mc.Explore.states
+    (fun (name, s, loc, host_s) ->
+      Printf.printf "%-22s %11d %12d %9d %9d %7s %6d %9.2f %s\n" name s.Mc.Explore.states
         s.Mc.Explore.transitions s.Mc.Explore.diameter s.Mc.Explore.goals
         (if s.Mc.Explore.truncated then "-" else string_of_int s.Mc.Explore.doomed)
-        loc
+        loc host_s
         (match s.Mc.Explore.violation with
         | None ->
           if s.Mc.Explore.truncated then "exceeds state budget (intractable)" else "verified"
         | Some (r, _) -> "VIOLATION: " ^ r))
     rows
 
-let mc_row_json ~store (name, s, loc) =
+(* [host_s] is the checker run's wall clock and [states_per_s] the
+   states it interned per second of it. *)
+let mc_row_json ~store (name, s, loc, host_s) =
   J.Obj
     [
       ("model", J.String name);
@@ -141,6 +143,8 @@ let mc_row_json ~store (name, s, loc) =
       ("model_loc", J.Int loc);
       ("store", J.String (match store with Mc.Explore.Exact -> "exact" | Compact -> "compact"));
       ("collision_bound", J.Float s.Mc.Explore.collision_bound);
+      ("host_s", J.Float host_s);
+      ("states_per_s", J.Float (float_of_int s.Mc.Explore.states /. host_s));
     ]
 
 let tab4 () =
@@ -187,7 +191,7 @@ let tab4 () =
   let store = Mc.Explore.Compact in
   let max_states = if !quick then 300_000 else 200_000_000 in
   let mc_rows =
-    List.map (fun (n, _, s, l) -> (n, s, l)) (E.table4 ~max_states ~store ~jobs:!jobs ())
+    List.map (fun (n, _, s, l, t) -> (n, s, l, t)) (E.table4 ~max_states ~store ~jobs:!jobs ())
   in
   print_mc_rows mc_rows;
   (if !quick then
@@ -195,7 +199,7 @@ let tab4 () =
        "(quick mode caps the state budget; run the full bench for the closed 3c graphs)"
    else
      let bound =
-       List.fold_left (fun a (_, s, _) -> Float.max a s.Mc.Explore.collision_bound) 0. mc_rows
+       List.fold_left (fun a (_, s, _, _) -> Float.max a s.Mc.Explore.collision_bound) 0. mc_rows
      in
      Printf.printf
        "(compacted visited set: worst-case fingerprint-collision probability %.2e)\n" bound);

@@ -818,7 +818,7 @@ let check_cmd =
     let rows = Tokencmp.Experiments.model_checking ~max_states ~store ~jobs ~sym:(not no_sym) () in
     let failed = ref false in
     List.iter
-      (fun (name, s, loc) ->
+      (fun (name, s, loc, _host_s) ->
         Format.printf "%-20s (%4d LoC) %a@." name loc Mc.Explore.pp_stats s;
         if
           s.Mc.Explore.violation <> None

@@ -166,12 +166,19 @@ let commercial ?(jobs = 1) ?(config = Mcmp.Config.default) ?(seeds = default_see
   let programs ~seed ~proc = Workload.Commercial.program profile ~seed ~proc in
   run_protocols ~jobs ~config ~seeds ~protocols ~programs:(fun ~seed -> programs ~seed)
 
+(* One checker run and its host wall-clock seconds. *)
+let timed_check ~max_states ~store ~jobs ~sym m =
+  let module M = (val m : Mc.Explore.MODEL) in
+  let module R = Mc.Explore.Make (M) in
+  let t0 = Unix.gettimeofday () in
+  let s = R.run ~max_states ~store ~jobs ~sym () in
+  (s, Unix.gettimeofday () -. t0)
+
 let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs = 1)
     ?(sym = true) () =
   let check name m loc =
-    let module M = (val m : Mc.Explore.MODEL) in
-    let module R = Mc.Explore.Make (M) in
-    (name, R.run ~max_states ~store ~jobs ~sym (), loc)
+    let s, host_s = timed_check ~max_states ~store ~jobs ~sym m in
+    (name, s, loc, host_s)
   in
   let tp = Mc.Token_model.default_params in
   let dp = Mc.Dir_model.default_params in
@@ -199,9 +206,8 @@ let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs 
 let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1) ?(sym = true)
     () =
   let check name caches m loc =
-    let module M = (val m : Mc.Explore.MODEL) in
-    let module R = Mc.Explore.Make (M) in
-    (name, caches, R.run ~max_states ~store ~jobs ~sym (), loc)
+    let s, host_s = timed_check ~max_states ~store ~jobs ~sym m in
+    (name, caches, s, loc, host_s)
   in
   let tp = Mc.Token_model.default_params in
   let tp3 = { tp with Mc.Token_model.caches = 3; tokens = 4 } in

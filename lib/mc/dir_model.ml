@@ -55,9 +55,21 @@ type state = {
   reqs : int list;
 }
 
-let nth = List.nth
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
-let norm_net net = List.sort compare net
+open Lists
+
+(* Transition-label primitives (see {!Label}), indexing [label_names]. *)
+let l_defer, l_dir, l_dataS, l_dataS_drop, l_dataE, l_dataE_drop, l_acks = (0, 1, 2, 3, 4, 5, 6)
+let l_acks_drop, l_invack, l_invack_drop, l_fwdS, l_fwdS_wb = (7, 8, 9, 10, 11)
+let l_fwdS_stale, l_fwdM, l_fwdM_wb, l_fwdM_stale, l_inv, l_unblock = (12, 13, 14, 15, 16, 17)
+let l_unblock_drop, l_wbgrant, l_wbgrant_stale, l_wbcancel, l_wbdata = (18, 19, 20, 21, 22)
+let l_wbdata_drop, l_dir_pop, l_write, l_read, l_getS, l_getM = (23, 24, 25, 26, 27, 28)
+let l_evict, l_drop = (29, 30)
+
+let label_names =
+  [| "defer"; "dir"; "dataS"; "dataS-drop"; "dataE"; "dataE-drop"; "acks"; "acks-drop";
+     "invack"; "invack-drop"; "fwdS"; "fwdS-wb"; "fwdS-stale"; "fwdM"; "fwdM-wb"; "fwdM-stale";
+     "inv"; "unblock"; "unblock-drop"; "wbgrant"; "wbgrant-stale"; "wbcancel"; "wbdata";
+     "wbdata-drop"; "dir-pop"; "write"; "read"; "getS"; "getM"; "evict"; "drop" |]
 
 let initial_state p =
   {
@@ -84,7 +96,7 @@ let bits_to_list bits n = List.filter (fun i -> bits land (1 lsl i) <> 0) (List.
 (* Send messages if the network has room. *)
 let send p s msgs =
   if List.length s.net + List.length msgs > p.net_cap then None
-  else Some { s with net = norm_net (msgs @ s.net) }
+  else Some { s with net = insert_all msgs s.net }
 
 (* The directory serializes one transaction per block; this processes a
    request when the block is not busy. *)
@@ -319,24 +331,22 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
       | TWaitM _ | TWaitS | TNone -> None
 
     (* Deliver network message index [i]. *)
-    let deliver s i =
-      let msg = nth s.net i in
-      let net = norm_net (List.filteri (fun j _ -> j <> i) s.net) in
-      let s = { s with net } in
+    let deliver s i msg =
+      let s = { s with net = remove_nth s.net i } in
       let cache dst = nth s.cs dst in
       let setc dst c = { s with cs = set_nth s.cs dst c } in
       match msg with
       | GetS _ | GetM _ | WbReq _ ->
         if s.dir.busy then
-          Some ("defer", { s with dir = { s.dir with defer = s.dir.defer @ [ msg ] } })
-        else Option.map (fun s -> ("dir", s)) (dir_process p s msg)
+          Some (Label.bare l_defer, { s with dir = { s.dir with defer = s.dir.defer @ [ msg ] } })
+        else Option.map (fun s -> (Label.bare l_dir, s)) (dir_process p s msg)
       | DataS { dst; ver; txn } -> (
         let c = cache dst in
         match c.tr with
         | TWaitS ->
           let s = setc dst { c with st = S; ver; tr = TNone } in
-          Option.map (fun s -> ("dataS", s)) (send p s [ Unblock { src = dst; txn } ])
-        | TWaitM _ | TNone -> Some ("dataS-drop", s))
+          Option.map (fun s -> (Label.bare l_dataS, s)) (send p s [ Unblock { src = dst; txn } ])
+        | TWaitM _ | TNone -> Some (Label.bare l_dataS_drop, s))
       | DataE { dst; ver; acks; txn } -> (
         let c = cache dst in
         match c.tr with
@@ -349,9 +359,9 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           let s = setc dst c in
           (match completed with
           | Some txn ->
-            Option.map (fun s -> ("dataE", s)) (send p s [ Unblock { src = dst; txn } ])
-          | None -> Some ("dataE", s))
-        | TWaitS | TNone -> Some ("dataE-drop", s))
+            Option.map (fun s -> (Label.bare l_dataE, s)) (send p s [ Unblock { src = dst; txn } ])
+          | None -> Some (Label.bare l_dataE, s))
+        | TWaitS | TNone -> Some (Label.bare l_dataE_drop, s))
       | AckCount { dst; acks; txn } -> (
         let c = cache dst in
         match c.tr with
@@ -365,9 +375,9 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           let s = setc dst c in
           (match completed with
           | Some txn ->
-            Option.map (fun s -> ("acks", s)) (send p s [ Unblock { src = dst; txn } ])
-          | None -> Some ("acks", s))
-        | TWaitS | TNone -> Some ("acks-drop", s))
+            Option.map (fun s -> (Label.bare l_acks, s)) (send p s [ Unblock { src = dst; txn } ])
+          | None -> Some (Label.bare l_acks, s))
+        | TWaitS | TNone -> Some (Label.bare l_acks_drop, s))
       | InvAck { dst } -> (
         let c = cache dst in
         match c.tr with
@@ -379,9 +389,9 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           let s = setc dst c in
           (match completed with
           | Some txn ->
-            Option.map (fun s -> ("invack", s)) (send p s [ Unblock { src = dst; txn } ])
-          | None -> Some ("invack", s))
-        | TWaitS | TNone -> Some ("invack-drop", s))
+            Option.map (fun s -> (Label.bare l_invack, s)) (send p s [ Unblock { src = dst; txn } ])
+          | None -> Some (Label.bare l_invack, s))
+        | TWaitS | TNone -> Some (Label.bare l_invack_drop, s))
       | FwdS { dst; req; txn } -> (
         let c = cache dst in
         match c.st with
@@ -389,7 +399,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           let st = match c.st with M -> O | E -> S | other -> other in
           let s = setc dst { c with st } in
           Option.map
-            (fun s -> ("fwdS", s))
+            (fun s -> (Label.bare l_fwdS, s))
             (send p s [ DataS { dst = req; ver = c.ver; txn } ])
         | S | I -> (
           match c.wb with
@@ -397,25 +407,25 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
             let wst = match wst with M -> O | E -> S | other -> other in
             let s = setc dst { c with wb = Some (wst, wver) } in
             Option.map
-              (fun s -> ("fwdS-wb", s))
+              (fun s -> (Label.bare l_fwdS_wb, s))
               (send p s [ DataS { dst = req; ver = wver; txn } ])
-          | None -> Some ("fwdS-stale", s)))
+          | None -> Some (Label.bare l_fwdS_stale, s)))
       | FwdM { dst; req; acks; txn } -> (
         let c = cache dst in
         match c.st with
         | M | E | O ->
           let s = setc dst { c with st = I } in
           Option.map
-            (fun s -> ("fwdM", s))
+            (fun s -> (Label.bare l_fwdM, s))
             (send p s [ DataE { dst = req; ver = c.ver; acks; txn } ])
         | S | I -> (
           match c.wb with
           | Some (_, wver) ->
             let s = setc dst { c with wb = None; wb_serial = 0 } in
             Option.map
-              (fun s -> ("fwdM-wb", s))
+              (fun s -> (Label.bare l_fwdM_wb, s))
               (send p s [ DataE { dst = req; ver = wver; acks; txn } ])
-          | None -> Some ("fwdM-stale", s)))
+          | None -> Some (Label.bare l_fwdM_stale, s)))
       | Inv { dst; req } ->
         let c = cache dst in
         let c = match c.st with S | O -> { c with st = I } | M | E | I -> c in
@@ -427,23 +437,23 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           | TWaitM _ | TWaitS | TNone -> c
         in
         let s = setc dst c in
-        Option.map (fun s -> ("inv", s)) (send p s [ InvAck { dst = req } ])
+        Option.map (fun s -> (Label.bare l_inv, s)) (send p s [ InvAck { dst = req } ])
       | Unblock { src; txn } ->
         if s.dir.cur = Some (src, txn) then
-          Some ("unblock", { s with dir = { s.dir with busy = false; cur = None } })
-        else Some ("unblock-drop", s)
+          Some (Label.bare l_unblock, { s with dir = { s.dir with busy = false; cur = None } })
+        else Some (Label.bare l_unblock_drop, s)
       | WbGrant { dst; serial } -> (
         let c = cache dst in
         match c.wb with
         | Some (_, wver) when serial = c.wb_serial ->
           let s = setc dst { c with wb = None; wb_serial = 0 } in
           Option.map
-            (fun s -> ("wbgrant", s))
+            (fun s -> (Label.bare l_wbgrant, s))
             (send p s [ WbData { src = dst; ver = wver; valid = true } ])
         | Some _ | None ->
           (* stale grant for an already-consumed buffer instance *)
           Option.map
-            (fun s -> ("wbgrant-stale", s))
+            (fun s -> (Label.bare l_wbgrant_stale, s))
             (send p s [ WbData { src = dst; ver = 0; valid = false } ]))
       | WbCancel { dst; serial } ->
         let c = cache dst in
@@ -452,7 +462,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           if serial = c.wb_serial && c.wb <> None then { c with wb = None; wb_serial = 0 }
           else c
         in
-        Some ("wbcancel", setc dst c)
+        Some (Label.bare l_wbcancel, setc dst c)
       | WbData { src; ver; valid } ->
         let d = s.dir in
         if d.wb_from = Some src then begin
@@ -460,22 +470,22 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
             if valid then { d with owner = None; busy = false; wb_from = None }
             else { d with busy = false; wb_from = None }
           in
-          Some ("wbdata", { s with dir = d; memver = (if valid then ver else s.memver) })
+          Some (Label.bare l_wbdata, { s with dir = d; memver = (if valid then ver else s.memver) })
         end
-        else Some ("wbdata-drop", s)
+        else Some (Label.bare l_wbdata_drop, s)
 
     let next s =
       let moves = ref [] in
       let add label st = moves := (label, normalize_serials p st) :: !moves in
       (* deliveries *)
       List.iteri
-        (fun i _ -> match deliver s i with Some (l, st) -> add l st | None -> ())
+        (fun i msg -> match deliver s i msg with Some (l, st) -> add l st | None -> ())
         s.net;
       (* directory pops a deferred request once idle *)
       (match s.dir.defer with
       | first :: rest when not s.dir.busy -> (
         let s' = { s with dir = { s.dir with defer = rest } } in
-        match dir_process p s' first with Some st -> add "dir-pop" st | None -> ())
+        match dir_process p s' first with Some st -> add (Label.bare l_dir_pop) st | None -> ())
       | _ -> ());
       (* cache-initiated actions *)
       List.iteri
@@ -494,7 +504,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
                    else s'
                  in
                  match send p s' [ GetS { src = c } ] with
-                 | Some st -> if c <> writer then add (Printf.sprintf "getS%d" c) st
+                 | Some st -> if c <> writer then add (Label.indexed l_getS c) st
                  | None -> ());
               match cache.st with
               | I | S | O ->
@@ -505,7 +515,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
                   if c = writer || c = reader then { s' with reqs = set_nth s.reqs c 1 } else s'
                 in
                 (match send p s' [ GetM { src = c } ] with
-                | Some st -> if c <> reader then add (Printf.sprintf "getM%d" c) st
+                | Some st -> if c <> reader then add (Label.indexed l_getM c) st
                 | None -> ())
               | E | M -> ()
             end;
@@ -536,11 +546,11 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
                 }
               in
               match send p s' [ WbReq { src = c; serial } ] with
-              | Some st -> add (Printf.sprintf "evict%d" c) st
+              | Some st -> add (Label.indexed l_evict c) st
               | None -> ())
             | S ->
               add
-                (Printf.sprintf "drop%d" c)
+                (Label.indexed l_drop c)
                 { s with cs = set_nth s.cs c { cache with st = I } }
             | M | E | O | I -> ()
           end)
@@ -548,7 +558,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
       (* goal operations *)
       let w = nth s.cs writer in
       if nth s.reqs writer = 1 && (w.st = M || w.st = E) && s.written < p.max_writes then
-        add "write"
+        add (Label.bare l_write)
           {
             s with
             written = s.written + 1;
@@ -557,7 +567,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
           };
       let r = nth s.cs reader in
       if nth s.reqs reader = 1 && r.st <> I && r.tr = TNone then
-        add "read" { s with reqs = set_nth s.reqs reader 2 };
+        add (Label.bare l_read) { s with reqs = set_nth s.reqs reader 2 };
       !moves
 
     let invariant s =
@@ -582,6 +592,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let label = Label.render label_names
 
     let pp fmt s =
       let st_name = function I -> "I" | S -> "S" | O -> "O" | E -> "E" | M -> "M" in

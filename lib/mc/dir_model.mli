@@ -20,6 +20,10 @@ val default_params : params
 
 val flat : params -> (module Explore.MODEL)
 
+(** Primitive names of this model's transition labels, indexed by a
+    label's primitive field (see {!Label}). *)
+val label_names : string array
+
 (** {2 Symmetry-reduction internals} — see {!Token_model} for the
     contract; caches other than writer (0) and reader (1) are
     interchangeable. *)

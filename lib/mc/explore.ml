@@ -3,7 +3,8 @@ module type MODEL = sig
 
   val name : string
   val initial : state list
-  val next : state -> (string * state) list
+  val next : state -> (int * state) list
+  val label : int -> string
   val invariant : state -> (unit, string) result
   val goal : state -> bool
   val pp : Format.formatter -> state -> unit
@@ -63,9 +64,9 @@ module Tbl = struct
     let cap = 1 lsl 16 in
     { keys = Array.make cap 0; vals = Array.make cap 0; mask = cap - 1; used = 0 }
 
-  (* Fibonacci-style multiplicative mixing keeps linear probing healthy
-     even though exact-mode keys only populate the low 30 bits. *)
-  let slot t key = (key * 0x2545F4914F6CDD1D) land t.mask
+  (* keys are fingerprints, whose final avalanche step already spreads
+     every input bit into the low bits that pick the slot *)
+  let slot t key = key land t.mask
 
   let insert_raw t key v =
     let i = ref (slot t key) in
@@ -109,19 +110,61 @@ end
 
 let two_pow_60 = 1.152921504606846976e18
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint: one pre-order walk over the whole value (the polymorphic
+   hash samples a bounded number of nodes, and a value differing only
+   past the cap would collide). Every immediate and every block header
+   is folded into a 63-bit accumulator; the collision-probability bound
+   in [stats] assumes the finalized 60 bits behave as a uniform hash.
+   Only blocks whose fields are values are descended into, so raw words
+   are never followed as pointers. *)
+
+let[@inline] step h x =
+  let h = (h lxor x) * 0x5851F42D4C957F2D in
+  h lxor (h lsr 29)
+
+(* a header token: tag and size, tagged apart from small immediates *)
+let[@inline] header tag size = (1 lsl 61) lor (size lsl 8) lor tag
+
+let rec walk h o =
+  if Obj.is_int o then step h (Obj.obj o : int)
+  else begin
+    let tag = Obj.tag o and size = Obj.size o in
+    let h = step h (header tag size) in
+    if tag <= Obj.last_non_constant_constructor_tag then
+      if size = 0 then h else fields h o 0 (size - 1)
+    else if tag = Obj.string_tag then begin
+      let s : string = Obj.obj o in
+      let h = ref (step h (String.length s)) in
+      String.iter (fun c -> h := step !h (Char.code c)) s;
+      !h
+    end
+    else if tag = Obj.double_tag then float_bits h (Obj.obj o : float)
+    else if tag = Obj.double_array_tag then begin
+      let h = ref h in
+      for i = 0 to size - 1 do
+        h := float_bits !h (Obj.double_field o i)
+      done;
+      !h
+    end
+    else if tag = Obj.custom_tag then step h (Hashtbl.hash o)
+    else if tag = Obj.abstract_tag then h
+    else invalid_arg "Explore.fingerprint: functional or lazy value"
+  end
+
+(* the last field is a tail call, so long lists do not grow the stack *)
+and fields h o i last =
+  if i = last then walk h (Obj.field o i) else fields (walk h (Obj.field o i)) o (i + 1) last
+
+(* [=] equates 0. and -0., so they must fingerprint alike *)
+and float_bits h f = step h (Int64.to_int (Int64.bits_of_float (if f = 0. then 0. else f)))
+
+let fingerprint v =
+  let h = walk 0x2545F4914F6CDD1D (Obj.repr v) in
+  let h = (h lxor (h lsr 31)) * 0x7FB5D329728EA185 in
+  (h lxor (h lsr 27)) land ((1 lsl 60) - 1)
+
 module Make (M : MODEL) = struct
-  (* The default polymorphic hash samples only ~10 nodes of a value,
-     which collides catastrophically on deep protocol states. *)
-  let hash30 s = Hashtbl.hash_param 512 512 s
-
-  (* Two independently seeded traversals give a 60-bit fingerprint for
-     the compacted store; the collision-probability bound in [stats]
-     assumes these behave as a uniform 60-bit hash. *)
-  let fingerprint s =
-    let h1 = Hashtbl.seeded_hash_param 512 512 0x9e3779b9 s in
-    let h2 = Hashtbl.seeded_hash_param 512 512 0x85ebca6b s in
-    (h1 lsl 30) lor h2
-
   let zero_stats =
     {
       states = 0;
@@ -143,7 +186,7 @@ module Make (M : MODEL) = struct
     | [] -> zero_stats
     | first_initial :: _ ->
       let keep_states = store = Exact in
-      let key_of = match store with Exact -> fun s -> hash30 s + 1 | Compact -> fun s -> fingerprint s + 1 in
+      let key_of s = fingerprint s + 1 in
       (* visited set *)
       let tbl = Tbl.create () in
       (* per-state bookkeeping, id-indexed; [states] is only populated
@@ -151,7 +194,7 @@ module Make (M : MODEL) = struct
          after its frontier entry is expanded *)
       let states = buf_create (canon first_initial) in
       let pred_id = buf_create (-1) in
-      let pred_label = buf_create "" in
+      let pred_label = buf_create 0 in
       let depth = buf_create 0 in
       let goal_flag = buf_create false in
       (* reverse edges as a flat pair buffer, built into CSR form for
@@ -159,16 +202,6 @@ module Make (M : MODEL) = struct
          words per edge and shreds the minor heap at scale *)
       let edge_child = buf_create 0 in
       let edge_parent = buf_create 0 in
-      (* transition labels repeat heavily; interning them keeps one
-         copy per distinct label instead of one per state *)
-      let label_pool : (string, string) Hashtbl.t = Hashtbl.create 256 in
-      let intern_label l =
-        match Hashtbl.find_opt label_pool l with
-        | Some l' -> l'
-        | None ->
-          Hashtbl.add label_pool l l;
-          l
-      in
       let eq =
         match store with
         | Compact -> fun _ _ -> true
@@ -202,7 +235,7 @@ module Make (M : MODEL) = struct
             Tbl.add tbl key id;
             if keep_states then buf_push states state;
             buf_push pred_id pred;
-            buf_push pred_label (if pred < 0 then "" else intern_label label);
+            buf_push pred_label label;
             let d = if pred < 0 then 0 else depth.arr.(pred) + 1 in
             buf_push depth d;
             if d > !diameter then diameter := d;
@@ -218,7 +251,7 @@ module Make (M : MODEL) = struct
       let trace_to id =
         let rec climb id acc =
           let p = pred_id.arr.(id) in
-          if p < 0 then acc else climb p (pred_label.arr.(id) :: acc)
+          if p < 0 then acc else climb p (M.label pred_label.arr.(id) :: acc)
         in
         climb id []
       in
@@ -279,7 +312,7 @@ module Make (M : MODEL) = struct
       List.iter
         (fun s ->
           let c = canon s in
-          let id = intern ~pred:(-1) ~label:"" ~key:(key_of c) c in
+          let id = intern ~pred:(-1) ~label:0 ~key:(key_of c) c in
           if id >= 0 && !fresh then begin
             initial_by_id := (id, c) :: !initial_by_id;
             init_frontier := (id, c) :: !init_frontier

@@ -35,8 +35,14 @@ module type MODEL = sig
   val name : string
   val initial : state list
 
-  (** All successor states with transition labels. *)
-  val next : state -> (string * state) list
+  (** All successor states, each with its transition label packed into
+      an int (see {!Label}). *)
+  val next : state -> (int * state) list
+
+  (** Render a label returned by {!next}. Called only to print a trace
+      (a violation or doomed example); must be pure, since [next] may
+      run on worker domains. *)
+  val label : int -> string
 
   (** Safety check; [Error reason] reports a violation. *)
   val invariant : state -> (unit, string) result
@@ -95,3 +101,11 @@ module Make (M : MODEL) : sig
 end
 
 val pp_stats : Format.formatter -> stats -> unit
+
+(** The 60-bit fingerprint keying both visited-set stores: one
+    traversal of the whole value, with no node cap. It descends only
+    into blocks whose fields are values and hashes strings, floats and
+    custom blocks by content, so structurally equal values (however
+    shared) get equal fingerprints. Raises [Invalid_argument] on
+    functional values, as [compare] does. *)
+val fingerprint : 'a -> int

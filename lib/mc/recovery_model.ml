@@ -30,9 +30,16 @@ type state = {
   minted : bool;
 }
 
-let nth = List.nth
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
-let norm_net net = List.sort compare net
+open Lists
+
+(* Transition-label primitives (see {!Label}), indexing [label_names]. *)
+let l_one, l_one_d, l_all, l_butone, l_discard, l_recv, l_bump = (0, 1, 2, 3, 4, 5, 6)
+let l_mint, l_ack, l_lose, l_recreate, l_write, l_issue, l_complete = (7, 8, 9, 10, 11, 12, 13)
+
+let label_names =
+  [| "one"; "one+d"; "all"; "butone"; "discard"; "recv"; "bump"; "mint"; "ack"; "lose";
+     "recreate"; "write"; "issue"; "complete" |]
+
 let nnodes p = p.caches + 1
 let mem_ix p = p.caches
 
@@ -72,7 +79,7 @@ let send_msg s p ~src ~dst ~k ~owner ~data =
       {
         s with
         nodes = set_nth s.nodes src (strip_node n ~k ~owner);
-        net = norm_net (msg :: s.net);
+        net = insert msg s.net;
       }
   end
 
@@ -86,23 +93,23 @@ let policy_sends p s =
     if n.tok > 0 then
       for dst = 0 to nnodes p - 1 do
         if dst <> src then begin
-          let lbl prim = Printf.sprintf "%s(%d->%d)" prim src dst in
+          let lbl prim = Label.edge prim src dst in
           let non_owner = n.tok - if n.owner then 1 else 0 in
           if non_owner >= 1 then begin
             (match send_msg s p ~src ~dst ~k:1 ~owner:false ~data:false with
-            | Some st -> add (lbl "one") st
+            | Some st -> add (lbl l_one) st
             | None -> ());
             if n.data then
               match send_msg s p ~src ~dst ~k:1 ~owner:false ~data:true with
-              | Some st -> add (lbl "one+d") st
+              | Some st -> add (lbl l_one_d) st
               | None -> ()
           end;
           (match send_msg s p ~src ~dst ~k:n.tok ~owner:n.owner ~data:n.data with
-          | Some st -> add (lbl "all") st
+          | Some st -> add (lbl l_all) st
           | None -> ());
           if n.tok >= 2 then
             match send_msg s p ~src ~dst ~k:(n.tok - 1) ~owner:false ~data:n.data with
-            | Some st -> add (lbl "butone") st
+            | Some st -> add (lbl l_butone) st
             | None -> ()
         end
       done
@@ -149,17 +156,15 @@ let model_sym p : (module Explore.MODEL with type state = state) =
 
     let mem s = nth s.nodes (mem_ix p)
 
-    let deliver s i =
-      let msg = nth s.net i in
-      let net = norm_net (List.filteri (fun j _ -> j <> i) s.net) in
-      let s = { s with net } in
+    let deliver s i msg =
+      let s = { s with net = remove_nth s.net i } in
       match msg with
       | Tok { dst; k; owner; data; ver; ep } ->
         let n = nth s.nodes dst in
         if ep < n.know then
           (* Stale epoch: destroy on arrival. *)
           Some
-            ( "discard",
+            ( Label.bare l_discard,
               {
                 s with
                 destroyed = s.destroyed + k;
@@ -186,7 +191,7 @@ let model_sym p : (module Explore.MODEL with type state = state) =
               ver = (if data then ver else n.ver);
             }
           in
-          Some ("recv", { s with nodes = set_nth s.nodes dst n' })
+          Some (Label.bare l_recv, { s with nodes = set_nth s.nodes dst n' })
         end
       | Bump { dst } ->
         (* Destroy stale holdings, adopt the new epoch, always ack. *)
@@ -194,13 +199,13 @@ let model_sym p : (module Explore.MODEL with type state = state) =
         if List.length s.net >= p.net_cap then None
         else
           Some
-            ( "bump",
+            ( Label.bare l_bump,
               {
                 s with
                 nodes = set_nth s.nodes dst { (clear n) with know = 1 };
                 destroyed = s.destroyed + n.tok;
                 destroyed_own = s.destroyed_own || n.owner;
-                net = norm_net (Ack { src = dst } :: s.net);
+                net = insert (Ack { src = dst }) s.net;
               } )
       | Ack { src } ->
         let s = { s with acks = set_nth s.acks src true } in
@@ -211,20 +216,20 @@ let model_sym p : (module Explore.MODEL with type state = state) =
           let m =
             { tok = p.tokens; owner = true; data = true; ver = s.written; know = 1 }
           in
-          Some ("mint", { s with nodes = set_nth s.nodes (mem_ix p) m; minted = true })
-        else Some ("ack", s)
+          Some (Label.bare l_mint, { s with nodes = set_nth s.nodes (mem_ix p) m; minted = true })
+        else Some (Label.bare l_ack, s)
 
     (* Lose one in-flight token message: the single fault this model
        injects. Restricted to the pre-recreation epoch — a second loss
        would need a second recreation, which the budget excludes. *)
-    let lose s i =
-      match nth s.net i with
+    let lose s i msg =
+      match msg with
       | Tok { k; owner; ep; _ } when (not s.lost) && (mem s).know = 0 ->
         assert (ep = 0);
         Some
           {
             s with
-            net = norm_net (List.filteri (fun j _ -> j <> i) s.net);
+            net = remove_nth s.net i;
             lost = true;
             lost_tok = k;
             lost_own = owner;
@@ -250,7 +255,7 @@ let model_sym p : (module Explore.MODEL with type state = state) =
           }
         in
         let bumps = List.init p.caches (fun dst -> Bump { dst }) in
-        Some { s with net = norm_net (bumps @ s.net) }
+        Some { s with net = insert_all bumps s.net }
       end
 
     let satisfied s ~req =
@@ -279,14 +284,14 @@ let model_sym p : (module Explore.MODEL with type state = state) =
       let moves = ref (policy_sends p s) in
       let add label st = moves := (label, st) :: !moves in
       List.iteri
-        (fun i _ ->
-          (match deliver s i with Some (label, st) -> add label st | None -> ());
-          match lose s i with Some st -> add "lose" st | None -> ())
+        (fun i msg ->
+          (match deliver s i msg with Some (label, st) -> add label st | None -> ());
+          match lose s i msg with Some st -> add (Label.bare l_lose) st | None -> ())
         s.net;
-      (match recreate s with Some st -> add "recreate" st | None -> ());
+      (match recreate s with Some st -> add (Label.bare l_recreate) st | None -> ());
       let wn = nth s.nodes writer in
       if wn.tok = p.tokens && wn.data && s.written < p.max_writes then
-        add "write"
+        add (Label.bare l_write)
           {
             s with
             written = s.written + 1;
@@ -295,10 +300,10 @@ let model_sym p : (module Explore.MODEL with type state = state) =
       List.iter
         (fun req ->
           (match issue s req with
-          | Some st -> add (Printf.sprintf "issue%d" req) st
+          | Some st -> add (Label.indexed l_issue req) st
           | None -> ());
           match complete s req with
-          | Some st -> add (Printf.sprintf "complete%d" req) st
+          | Some st -> add (Label.indexed l_complete req) st
           | None -> ())
         [ writer; reader ];
       !moves
@@ -352,6 +357,7 @@ let model_sym p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let label = Label.render label_names
 
     let pp fmt s =
       Format.fprintf fmt "written=%d reqs=%s lost=%b(%d tok,own=%b) destroyed=%d minted=%b@."

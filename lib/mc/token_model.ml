@@ -31,9 +31,16 @@ type state = {
 
 type variant = Safety | Distributed | Arbiter
 
-let nth = List.nth
+open Lists
 
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
+(* Transition-label primitives (see {!Label}), indexing [label_names]. *)
+let l_one, l_one_d, l_all, l_butone, l_recv, l_act, l_deact = (0, 1, 2, 3, 4, 5, 6)
+let l_arb_activate, l_arb_queue, l_arb_done, l_arb_next, l_write = (7, 8, 9, 10, 11)
+let l_issue, l_complete, l_pfwd = (12, 13, 14)
+
+let label_names =
+  [| "one"; "one+d"; "all"; "butone"; "recv"; "act"; "deact"; "arb-activate"; "arb-queue";
+     "arb-done"; "arb-next"; "write"; "issue"; "complete"; "pfwd" |]
 
 let initial_state p =
   let cache = { tok = 0; owner = false; data = false; ver = 0 } in
@@ -48,8 +55,6 @@ let initial_state p =
     arb_active = None;
     reqs = [ 0; 0 ];
   }
-
-let norm_net net = List.sort compare net
 
 let nnodes p = p.caches + 1
 let mem_ix p = p.caches
@@ -72,7 +77,7 @@ let send_msg s p ~src ~dst ~k ~owner ~data =
       {
         s with
         nodes = set_nth s.nodes src (strip_node n ~k ~owner);
-        net = norm_net (msg :: s.net);
+        net = insert msg s.net;
       }
   end
 
@@ -85,23 +90,23 @@ let policy_sends p s =
     if n.tok > 0 then
       for dst = 0 to nnodes p - 1 do
         if dst <> src then begin
-          let lbl prim = Printf.sprintf "%s(%d->%d)" prim src dst in
+          let lbl prim = Label.edge prim src dst in
           let non_owner = n.tok - if n.owner then 1 else 0 in
           if non_owner >= 1 then begin
             (match send_msg s p ~src ~dst ~k:1 ~owner:false ~data:false with
-            | Some st -> add (lbl "one") st
+            | Some st -> add (lbl l_one) st
             | None -> ());
             if n.data then
               match send_msg s p ~src ~dst ~k:1 ~owner:false ~data:true with
-              | Some st -> add (lbl "one+d") st
+              | Some st -> add (lbl l_one_d) st
               | None -> ()
           end;
           (match send_msg s p ~src ~dst ~k:n.tok ~owner:n.owner ~data:n.data with
-          | Some st -> add (lbl "all") st
+          | Some st -> add (lbl l_all) st
           | None -> ());
           if n.tok >= 2 then
             match send_msg s p ~src ~dst ~k:(n.tok - 1) ~owner:false ~data:n.data with
-            | Some st -> add (lbl "butone") st
+            | Some st -> add (lbl l_butone) st
             | None -> ()
         end
       done
@@ -111,7 +116,7 @@ let policy_sends p s =
 let broadcast s p ~src mk =
   let msgs = List.filteri (fun i _ -> i <> src) (List.init (nnodes p) mk) in
   if List.length s.net + List.length msgs > p.net_cap then None
-  else Some { s with net = norm_net (msgs @ s.net) }
+  else Some { s with net = insert_all msgs s.net }
 
 (* Forward held tokens to the active persistent requester at [node]. *)
 let persistent_forward p s ~node ~req =
@@ -178,10 +183,8 @@ let make variant p : (module Explore.MODEL with type state = state) =
       if req = writer then n.tok = p.tokens && n.data else n.tok >= 1 && n.data
 
     (* Deliver one network message. *)
-    let deliver s i =
-      let msg = nth s.net i in
-      let net = norm_net (List.filteri (fun j _ -> j <> i) s.net) in
-      let s = { s with net } in
+    let deliver s i msg =
+      let s = { s with net = remove_nth s.net i } in
       match msg with
       | Tok { dst; k; owner; data; ver } ->
         let n = nth s.nodes dst in
@@ -193,50 +196,51 @@ let make variant p : (module Explore.MODEL with type state = state) =
             ver = (if data then ver else n.ver);
           }
         in
-        Some ("recv", { s with nodes = set_nth s.nodes dst n' })
+        Some (Label.bare l_recv, { s with nodes = set_nth s.nodes dst n' })
       | Act { dst; req } -> (
         match variant with
         | Distributed ->
           let row = set_nth (nth s.tables dst) req Active in
-          Some ("act", { s with tables = set_nth s.tables dst row })
-        | Arbiter -> Some ("act", { s with node_active = set_nth s.node_active dst (Some req) })
+          Some (Label.bare l_act, { s with tables = set_nth s.tables dst row })
+        | Arbiter ->
+          Some (Label.bare l_act, { s with node_active = set_nth s.node_active dst (Some req) })
         | Safety -> None)
       | Deact { dst; req } -> (
         match variant with
         | Distributed ->
           let row = set_nth (nth s.tables dst) req Empty in
-          Some ("deact", { s with tables = set_nth s.tables dst row })
+          Some (Label.bare l_deact, { s with tables = set_nth s.tables dst row })
         | Arbiter ->
           let cur = nth s.node_active dst in
           let na = if cur = Some req then set_nth s.node_active dst None else s.node_active in
-          Some ("deact", { s with node_active = na })
+          Some (Label.bare l_deact, { s with node_active = na })
         | Safety -> None)
       | Arb_req { req } ->
         if s.arb_active = None then
           match broadcast s p ~src:(mem_ix p) (fun dst -> Act { dst; req }) with
           | Some s ->
             Some
-              ( "arb-activate",
+              ( Label.bare l_arb_activate,
                 {
                   s with
                   arb_active = Some req;
                   node_active = set_nth s.node_active (mem_ix p) (Some req);
                 } )
           | None -> None
-        else Some ("arb-queue", { s with arb_queue = s.arb_queue @ [ req ] })
+        else Some (Label.bare l_arb_queue, { s with arb_queue = s.arb_queue @ [ req ] })
       | Arb_done { req } -> (
         let s = { s with arb_active = None; node_active = set_nth s.node_active (mem_ix p) None } in
         match broadcast s p ~src:(mem_ix p) (fun dst -> Deact { dst; req }) with
         | None -> None
         | Some s -> (
           match s.arb_queue with
-          | [] -> Some ("arb-done", s)
+          | [] -> Some (Label.bare l_arb_done, s)
           | next :: rest -> (
             match broadcast s p ~src:(mem_ix p) (fun dst -> Act { dst; req = next }) with
             | None -> None
             | Some s ->
               Some
-                ( "arb-next",
+                ( Label.bare l_arb_next,
                   {
                     s with
                     arb_queue = rest;
@@ -270,7 +274,7 @@ let make variant p : (module Explore.MODEL with type state = state) =
               {
                 s with
                 reqs = set_nth s.reqs req 1;
-                net = norm_net (Arb_req { req } :: s.net);
+                net = insert (Arb_req { req }) s.net;
               }
         | Distributed ->
           let own = nth s.tables req in
@@ -301,7 +305,7 @@ let make variant p : (module Explore.MODEL with type state = state) =
         | Safety -> Some s
         | Arbiter ->
           if List.length s.net >= p.net_cap then None
-          else Some { s with net = norm_net (Arb_done { req } :: s.net) }
+          else Some { s with net = insert (Arb_done { req }) s.net }
         | Distributed ->
           let own = nth s.tables req in
           let own = set_nth own req Empty in
@@ -316,15 +320,15 @@ let make variant p : (module Explore.MODEL with type state = state) =
       let add label st = moves := (label, st) :: !moves in
       (* message deliveries *)
       List.iteri
-        (fun i _ ->
-          match deliver s i with
+        (fun i msg ->
+          match deliver s i msg with
           | Some (label, st) -> add label st
           | None -> ())
         s.net;
       (* a satisfied write outside any persistent request (policy path) *)
       let wn = nth s.nodes writer in
       if wn.tok = p.tokens && wn.data && s.written < p.max_writes then
-        add "write"
+        add (Label.bare l_write)
           {
             s with
             written = s.written + 1;
@@ -333,16 +337,16 @@ let make variant p : (module Explore.MODEL with type state = state) =
       if variant <> Safety then begin
         List.iter
           (fun req ->
-            (match issue s req with Some st -> add (Printf.sprintf "issue%d" req) st | None -> ());
+            (match issue s req with Some st -> add (Label.indexed l_issue req) st | None -> ());
             match complete s req with
-            | Some st -> add (Printf.sprintf "complete%d" req) st
+            | Some st -> add (Label.indexed l_complete req) st
             | None -> ())
           [ writer; reader ];
         for node = 0 to nnodes p - 1 do
           match active_at s node with
           | Some req -> (
             match persistent_forward p s ~node ~req with
-            | Some st -> add (Printf.sprintf "pfwd(%d->%d)" node req) st
+            | Some st -> add (Label.edge l_pfwd node req) st
             | None -> ())
           | None -> ()
         done
@@ -376,6 +380,7 @@ let make variant p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let label = Label.render label_names
 
     let pp fmt s =
       Format.fprintf fmt "written=%d reqs=%s@." s.written

@@ -34,6 +34,10 @@ val safety : params -> (module Explore.MODEL)
 val distributed : params -> (module Explore.MODEL)
 val arbiter : params -> (module Explore.MODEL)
 
+(** Primitive names of this model's transition labels, indexed by a
+    label's primitive field (see {!Label}). *)
+val label_names : string array
+
 (** {2 Symmetry-reduction internals}
 
     Exposed (with [state] kept abstract) so the canonicalization

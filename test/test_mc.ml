@@ -8,8 +8,8 @@ let counter_model ?(bug_at = 3) ~bound ~bug () : (module Mc.Explore.MODEL) =
     let name = "counter"
     let initial = [ 0 ]
 
-    let next s =
-      if s >= bound then [] else [ ("inc", s + 1) ] @ if s > 0 then [ ("dec", s - 1) ] else []
+    let next s = if s >= bound then [] else [ (0, s + 1) ] @ if s > 0 then [ (1, s - 1) ] else []
+    let label = function 0 -> "inc" | _ -> "dec"
 
     let invariant s = if bug && s = bug_at then Error "hit the bug" else Ok ()
     let goal s = s = bound
@@ -52,8 +52,10 @@ let test_doomed_detection () =
       let initial = [ 0 ]
 
       let next = function
-        | 0 -> [ ("to-goal", 1); ("to-trap", 2) ]
+        | 0 -> [ (0, 1); (1, 2) ]
         | _ -> []
+
+      let label = function 0 -> "to-goal" | _ -> "to-trap"
 
       let invariant _ = Ok ()
       let goal s = s = 1
@@ -317,8 +319,10 @@ let pair_model ~bound ~bug_sum : (module Mc.Explore.MODEL) =
     let initial = [ (0, 0) ]
 
     let next (a, b) =
-      (if a < bound then [ ("incA", (a + 1, b)) ] else [])
-      @ if b < bound then [ ("incB", (a, b + 1)) ] else []
+      (if a < bound then [ (0, (a + 1, b)) ] else [])
+      @ if b < bound then [ (1, (a, b + 1)) ] else []
+
+    let label = function 0 -> "incA" | _ -> "incB"
 
     let invariant (a, b) = if a + b = bug_sum then Error "bad sum" else Ok ()
     let goal (a, b) = a = bound && b = bound
@@ -347,6 +351,102 @@ let test_symmetry_helpers () =
   Alcotest.(check bool) "swap included" true
     (List.exists (fun f -> f 4 = 7 && f 7 = 4) maps);
   Alcotest.(check bool) "fixes others" true (List.for_all (fun f -> f 0 = 0 && f 9 = 9) maps)
+
+(* ------------------------------------------------------------------ *)
+(* Known-answer traces on budgeted graphs: stats and the rendered
+   doomed-example trace, pinned from the checker that built string
+   labels eagerly, must be identical in every store/frontier mode. *)
+
+let test_known_answer_traces () =
+  let dp3 = { Mc.Dir_model.caches = 3; max_writes = 2; net_cap = 3 } in
+  List.iter
+    (fun (name, m, max_states, (states, trans, diam, goals, doomed), example) ->
+      List.iter
+        (fun (mode, store, jobs) ->
+          let s = run m ~max_states ~store ~jobs () in
+          let tag = name ^ " " ^ mode in
+          Alcotest.(check (list int)) (tag ^ " stats") [ states; trans; diam; goals; doomed ]
+            [ s.Mc.Explore.states; s.transitions; s.diameter; s.goals; s.doomed ];
+          Alcotest.(check bool) (tag ^ " truncated") true s.Mc.Explore.truncated;
+          Alcotest.(check (option string)) (tag ^ " doomed example") (Some example)
+            (Option.map (String.concat ";") s.Mc.Explore.doomed_example))
+        [ ("exact", Mc.Explore.Exact, 1); ("compact", Mc.Explore.Compact, 1);
+          ("compact -j 2", Mc.Explore.Compact, 2) ])
+    [
+      ( "Flat Directory 3c", Mc.Dir_model.flat dp3, 200_000, (200000, 588630, 31, 9961, 37113),
+        "getM2;getS1;getM0;dir;dataE;unblock;evict0;dir;defer;fwdM-wb;getM0;dataE;unblock;dir;\
+         fwdM;getS2;dataE;defer;evict0;defer;defer" );
+      ( "TokenCMP-arb 2c", Mc.Token_model.arbiter Mc.Token_model.default_params, 20_000,
+        (20000, 156705, 10, 9, 13344), "issue0;arb-activate" );
+      ( "recovery", Mc.Recovery_model.model Mc.Recovery_model.default_params, 50_000,
+        (50000, 282178, 15, 1398, 6394), "all(2->0);recv;write;butone(0->2);lose" );
+    ]
+
+(* Label round trip: every primitive of every model, in each of the
+   three label shapes, renders to a string that parses back to the same
+   int, so rendering is unambiguous. *)
+
+let parse_label names str =
+  let prim name =
+    let rec find i = if names.(i) = name then i else find (i + 1) in
+    find 0
+  in
+  let n = String.length str in
+  if str.[n - 1] = ')' then
+    let lp = String.index str '(' in
+    Scanf.sscanf (String.sub str lp (n - lp)) "(%d->%d)" (fun a b ->
+        Mc.Label.edge (prim (String.sub str 0 lp)) a b)
+  else
+    let is_digit c = c >= '0' && c <= '9' in
+    let rec digits_from i = if i > 0 && is_digit str.[i - 1] then digits_from (i - 1) else i in
+    let d = digits_from n in
+    if d = n then Mc.Label.bare (prim str)
+    else Mc.Label.indexed (prim (String.sub str 0 d)) (int_of_string (String.sub str d (n - d)))
+
+let test_label_round_trip () =
+  List.iter
+    (fun (name, names, m) ->
+      let module M = (val m : Mc.Explore.MODEL) in
+      Alcotest.(check int) (name ^ " primitive names distinct") (Array.length names)
+        (List.length (List.sort_uniq compare (Array.to_list names)));
+      Array.iteri
+        (fun p pname ->
+          List.iter
+            (fun (l, expected) ->
+              Alcotest.(check string) (name ^ " renders " ^ expected) expected (M.label l);
+              Alcotest.(check int) (name ^ " round trip " ^ expected) l
+                (parse_label names (M.label l)))
+            [ (Mc.Label.bare p, pname); (Mc.Label.indexed p 2, pname ^ "2");
+              (Mc.Label.edge p 3 0, pname ^ "(3->0)") ])
+        names)
+    [
+      ( "token", Mc.Token_model.label_names,
+        Mc.Token_model.distributed Mc.Token_model.default_params );
+      ("directory", Mc.Dir_model.label_names, Mc.Dir_model.flat Mc.Dir_model.default_params);
+      ( "recovery", Mc.Recovery_model.label_names,
+        Mc.Recovery_model.model Mc.Recovery_model.default_params );
+    ]
+
+(* Fingerprint: a pure function of structure (sharing and physical
+   identity do not matter) that sees the whole value (no node cap). *)
+
+let test_fingerprint () =
+  let fp = Mc.Explore.fingerprint in
+  let module M = (val Mc.Token_model.model Mc.Token_model.Distributed sym_tp) in
+  List.iter
+    (fun s ->
+      let copy : Mc.Token_model.state = Marshal.from_string (Marshal.to_string s []) 0 in
+      Alcotest.(check bool) "marshalled copy is physically distinct" true (copy != s);
+      Alcotest.(check int) "equal states, equal fingerprints" (fp s) (fp copy))
+    (sample (module M) 50);
+  let long = List.init 1000 (fun i -> i) in
+  let long' = List.init 1000 (fun i -> if i = 999 then -1 else i) in
+  Alcotest.(check bool) "a difference past node 512 changes the fingerprint" true
+    (fp long <> fp long');
+  Alcotest.(check bool) "fits in 60 bits" true (fp long >= 0 && fp long < 1 lsl 60);
+  Alcotest.(check int) "0. and -0. are equal, so fingerprint alike" (fp (1, 0.)) (fp (1, -0.));
+  Alcotest.(check bool) "content-hashed string" true (fp "ab" = fp (String.make 1 'a' ^ "b"));
+  Alcotest.(check bool) "strings differ" true (fp "ab" <> fp "ba")
 
 let tests =
   [
@@ -386,4 +486,7 @@ let tests =
     Alcotest.test_case "symmetry shrinks a 4-cache graph" `Quick test_canon_reduces_4c;
     Alcotest.test_case "reduction preserves violations" `Quick test_canon_preserves_violation;
     Alcotest.test_case "symmetry helpers" `Quick test_symmetry_helpers;
+    Alcotest.test_case "known-answer traces in every mode" `Slow test_known_answer_traces;
+    Alcotest.test_case "label decoder round trip" `Quick test_label_round_trip;
+    Alcotest.test_case "fingerprint is structural and uncapped" `Quick test_fingerprint;
   ]
