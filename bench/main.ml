@@ -115,8 +115,8 @@ let print_mc_rows rows =
   Printf.printf "%-22s %11s %12s %9s %9s %7s %6s %9s %s\n" "Model" "states" "transitions"
     "diameter" "goals" "doomed" "LoC" "host s" "verdict";
   List.iter
-    (fun (name, s, loc, host_s) ->
-      Printf.printf "%-22s %11d %12d %9d %9d %7s %6d %9.2f %s\n" name s.Mc.Explore.states
+    (fun { E.model; stats = s; loc; host_s; _ } ->
+      Printf.printf "%-22s %11d %12d %9d %9d %7s %6d %9.2f %s\n" model s.Mc.Explore.states
         s.Mc.Explore.transitions s.Mc.Explore.diameter s.Mc.Explore.goals
         (if s.Mc.Explore.truncated then "-" else string_of_int s.Mc.Explore.doomed)
         loc host_s
@@ -127,11 +127,12 @@ let print_mc_rows rows =
     rows
 
 (* [host_s] is the checker run's wall clock and [states_per_s] the
-   states it interned per second of it. *)
-let mc_row_json ~store (name, s, loc, host_s) =
+   states it interned per second of it; [minor_words_per_state] is
+   deterministic for a given checker and budget (null with [-j] > 1). *)
+let mc_row_json ~store { E.model; stats = s; loc; host_s; minor_words_per_state } =
   J.Obj
     [
-      ("model", J.String name);
+      ("model", J.String model);
       ("states", J.Int s.Mc.Explore.states);
       ("transitions", J.Int s.Mc.Explore.transitions);
       ("diameter", J.Int s.Mc.Explore.diameter);
@@ -145,6 +146,8 @@ let mc_row_json ~store (name, s, loc, host_s) =
       ("collision_bound", J.Float s.Mc.Explore.collision_bound);
       ("host_s", J.Float host_s);
       ("states_per_s", J.Float (float_of_int s.Mc.Explore.states /. host_s));
+      ( "minor_words_per_state",
+        match minor_words_per_state with Some w -> J.Float w | None -> J.Null );
     ]
 
 let tab4 () =
@@ -190,19 +193,17 @@ let tab4 () =
   hr "Table 4 (cont.): model checkability, paper config (2c) and one size above (3c)";
   let store = Mc.Explore.Compact in
   let max_states = if !quick then 300_000 else 200_000_000 in
-  let mc_rows =
-    List.map (fun (n, _, s, l, t) -> (n, s, l, t)) (E.table4 ~max_states ~store ~jobs:!jobs ())
-  in
+  let mc_rows = E.table4 ~max_states ~store ~jobs:!jobs () in
   print_mc_rows mc_rows;
   (if !quick then
      print_endline
        "(quick mode caps the state budget; run the full bench for the closed 3c graphs)"
    else
      let bound =
-       List.fold_left (fun a (_, s, _, _) -> Float.max a s.Mc.Explore.collision_bound) 0. mc_rows
+       List.fold_left (fun a r -> Float.max a r.E.stats.Mc.Explore.collision_bound) 0. mc_rows
      in
      Printf.printf
-       "(compacted visited set: worst-case fingerprint-collision probability %.2e)\n" bound);
+       "(compacted visited set: worst-case key-collision probability %.2e)\n" bound);
   J.Obj
     [
       ("fixed_work", runs_json fixed);

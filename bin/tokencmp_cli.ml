@@ -792,7 +792,7 @@ let check_cmd =
       & info [ "store" ] ~docv:"STORE"
           ~doc:
             "Visited-set representation: $(b,exact) keys every full state (sound, \
-             memory-hungry), $(b,compact) keys 60-bit fingerprints (Cleary/bit-state \
+             memory-hungry), $(b,compact) keeps 60-bit state keys (Cleary/bit-state \
              style; a vanishingly small, reported collision probability can hide \
              states).")
   in
@@ -818,7 +818,7 @@ let check_cmd =
     let rows = Tokencmp.Experiments.model_checking ~max_states ~store ~jobs ~sym:(not no_sym) () in
     let failed = ref false in
     List.iter
-      (fun (name, s, loc, _host_s) ->
+      (fun { Tokencmp.Experiments.model = name; stats = s; loc; _ } ->
         Format.printf "%-20s (%4d LoC) %a@." name loc Mc.Explore.pp_stats s;
         if
           s.Mc.Explore.violation <> None

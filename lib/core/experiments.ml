@@ -166,20 +166,32 @@ let commercial ?(jobs = 1) ?(config = Mcmp.Config.default) ?(seeds = default_see
   let programs ~seed ~proc = Workload.Commercial.program profile ~seed ~proc in
   run_protocols ~jobs ~config ~seeds ~protocols ~programs:(fun ~seed -> programs ~seed)
 
-(* One checker run and its host wall-clock seconds. *)
-let timed_check ~max_states ~store ~jobs ~sym m =
+type mc_row = {
+  model : string;
+  stats : Mc.Explore.stats;
+  loc : int;
+  host_s : float;
+  minor_words_per_state : float option;
+}
+
+(* One checker run, its host wall-clock seconds and, when it runs on
+   this domain alone, the minor-heap words it allocated per state. *)
+let timed_check ~max_states ~store ~jobs ~sym model m loc =
   let module M = (val m : Mc.Explore.MODEL) in
   let module R = Mc.Explore.Make (M) in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let s = R.run ~max_states ~store ~jobs ~sym () in
-  (s, Unix.gettimeofday () -. t0)
+  let stats = R.run ~max_states ~store ~jobs ~sym () in
+  let host_s = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let minor_words_per_state =
+    if jobs > 1 then None else Some (words /. float_of_int (max 1 stats.Mc.Explore.states))
+  in
+  { model; stats; loc; host_s; minor_words_per_state }
 
 let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs = 1)
     ?(sym = true) () =
-  let check name m loc =
-    let s, host_s = timed_check ~max_states ~store ~jobs ~sym m in
-    (name, s, loc, host_s)
-  in
+  let check = timed_check ~max_states ~store ~jobs ~sym in
   let tp = Mc.Token_model.default_params in
   let dp = Mc.Dir_model.default_params in
   let dp3 = { dp with Mc.Dir_model.caches = 3 } in
@@ -205,10 +217,7 @@ let model_checking ?(max_states = 4_000_000) ?(store = Mc.Explore.Exact) ?(jobs 
    compacted store is the default here so they close in memory. *)
 let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1) ?(sym = true)
     () =
-  let check name caches m loc =
-    let s, host_s = timed_check ~max_states ~store ~jobs ~sym m in
-    (name, caches, s, loc, host_s)
-  in
+  let check = timed_check ~max_states ~store ~jobs ~sym in
   let tp = Mc.Token_model.default_params in
   let tp3 = { tp with Mc.Token_model.caches = 3; tokens = 4 } in
   (* both directory rows run at net_cap 3: the 2-cache directory graph
@@ -220,10 +229,10 @@ let table4 ?(max_states = 200_000_000) ?(store = Mc.Explore.Compact) ?(jobs = 1)
   let token_loc = Mc.Dir_model.model_loc `Token in
   let dir_loc = Mc.Dir_model.model_loc `Directory in
   [
-    check "TokenCMP-dst (2c)" 2 (Mc.Token_model.distributed tp) token_loc;
-    check "TokenCMP-dst (3c)" 3 (Mc.Token_model.distributed tp3) token_loc;
-    check "Flat Directory (2c)" 2 (Mc.Dir_model.flat dp) dir_loc;
-    check "Flat Directory (3c)" 3 (Mc.Dir_model.flat dp3) dir_loc;
+    check "TokenCMP-dst (2c)" (Mc.Token_model.distributed tp) token_loc;
+    check "TokenCMP-dst (3c)" (Mc.Token_model.distributed tp3) token_loc;
+    check "Flat Directory (2c)" (Mc.Dir_model.flat dp) dir_loc;
+    check "Flat Directory (3c)" (Mc.Dir_model.flat dp3) dir_loc;
   ]
 
 let fig2_protocols =

@@ -75,9 +75,20 @@ val commercial :
   unit ->
   run list
 
+(** One model-checking run. *)
+type mc_row = {
+  model : string;
+  stats : Mc.Explore.stats;
+  loc : int;  (** model source lines ({!Mc.Dir_model.model_loc}) *)
+  host_s : float;  (** host wall-clock seconds of the run *)
+  minor_words_per_state : float option;
+      (** minor-heap words allocated per interned state; [None] when
+          [jobs > 1], since worker domains allocate outside this
+          domain's count *)
+}
+
 (** Section 5: model-check every substrate variant and the flat
-    directory; returns (model name, exploration stats, model source
-    lines, host wall-clock seconds of the run). [store], [jobs] and [sym] select the visited-set
+    directory. [store], [jobs] and [sym] select the visited-set
     representation, parallel frontier width and symmetry reduction (see
     {!Mc.Explore.Make.run}); defaults preserve the historical exact
     serial semantics. *)
@@ -87,14 +98,12 @@ val model_checking :
   ?jobs:int ->
   ?sym:bool ->
   unit ->
-  (string * Mc.Explore.stats * int * float) list
+  mc_row list
 
 (** The Table 4 checkability comparison (token substrate vs flat
     directory) at the paper's 2-cache configuration and one size above
-    it (3 caches); returns (model name, caches, stats, model source
-    lines, host seconds). Defaults to the compacted store and a
-    200M-state budget: the 3-cache token graph closes at 10.6M states;
-    the 3-cache
+    it (3 caches). Defaults to the compacted store and a 200M-state
+    budget: the 3-cache token graph closes at 10.6M states; the 3-cache
     directory graph exceeds the budget (that truncated row is the
     result — it quantifies the paper's checkability gap). *)
 val table4 :
@@ -103,7 +112,7 @@ val table4 :
   ?jobs:int ->
   ?sym:bool ->
   unit ->
-  (string * int * Mc.Explore.stats * int * float) list
+  mc_row list
 
 (* Protocol sets used by each figure, in the paper's order. *)
 val fig2_protocols : Protocols.t list

@@ -177,91 +177,132 @@ let dir_process p s msg =
       | Some s -> Some { s with dir = { d with busy = false } })
   | _ -> assert false
 
-(* Writeback serials grow without bound; only their relative order
-   matters, so rebase each cache's serial space to keep the state space
-   finite (an order-preserving symmetry reduction). *)
-let normalize_txns s =
-  let refs = ref [ s.dir.txn_next ] in
-  let note t = refs := t :: !refs in
-  (match s.dir.cur with Some (_, t) -> note t | None -> ());
-  List.iter
-    (fun c ->
-      match c.tr with TWaitM { txn = Some t; _ } -> note t | TWaitM _ | TWaitS | TNone -> ())
-    s.cs;
-  List.iter
-    (fun m ->
-      match m with
-      | DataS { txn; _ } | DataE { txn; _ } | AckCount { txn; _ }
-      | FwdS { txn; _ } | FwdM { txn; _ } | Unblock { txn; _ } ->
-        note txn
-      | _ -> ())
-    (s.net @ s.dir.defer);
-  let offset = List.fold_left min max_int !refs in
-  let fix t = t - offset in
-  let cs =
-    List.map
-      (fun c ->
-        match c.tr with
-        | TWaitM { have_data; got; need; txn = Some t } ->
-          { c with tr = TWaitM { have_data; got; need; txn = Some (fix t) } }
-        | TWaitM _ | TWaitS | TNone -> c)
-      s.cs
-  in
-  let fix_msg m =
-    match m with
-    | DataS r -> DataS { r with txn = fix r.txn }
-    | DataE r -> DataE { r with txn = fix r.txn }
-    | AckCount r -> AckCount { r with txn = fix r.txn }
-    | FwdS r -> FwdS { r with txn = fix r.txn }
-    | FwdM r -> FwdM { r with txn = fix r.txn }
-    | Unblock r -> Unblock { r with txn = fix r.txn }
-    | other -> other
-  in
-  let net = List.map fix_msg s.net in
-  let dir =
-    {
-      s.dir with
-      txn_next = fix s.dir.txn_next;
-      cur = (match s.dir.cur with Some (c, t) -> Some (c, fix t) | None -> None);
-      defer = List.map fix_msg s.dir.defer;
-    }
-  in
-  { s with cs; net = norm_net net; dir }
+(* The txn id a message carries, or [max_int]. *)
+let txn_of = function
+  | DataS { txn; _ } | DataE { txn; _ } | AckCount { txn; _ }
+  | FwdS { txn; _ } | FwdM { txn; _ } | Unblock { txn; _ } ->
+    txn
+  | GetS _ | GetM _ | Inv _ | InvAck _ | WbReq _ | WbGrant _ | WbCancel _ | WbData _ -> max_int
 
-let normalize_serials p s =
-  let refs = Array.make p.caches [] in
-  List.iteri
-    (fun c cache -> if cache.wb <> None then refs.(c) <- [ cache.wb_serial ])
-    s.cs;
-  List.iter
-    (fun m ->
-      match m with
-      | WbReq { src; serial } -> refs.(src) <- serial :: refs.(src)
-      | WbGrant { dst; serial } | WbCancel { dst; serial } -> refs.(dst) <- serial :: refs.(dst)
-      | _ -> ())
-    (s.net @ s.dir.defer);
-  (* rebase so the smallest live serial becomes 1 (0 = "no buffer") *)
-  let offset =
-    Array.map (fun l -> match l with [] -> 0 | _ -> List.fold_left min max_int l - 1) refs
+let shift_txn off = function
+  | DataS r -> DataS { r with txn = r.txn - off }
+  | DataE r -> DataE { r with txn = r.txn - off }
+  | AckCount r -> AckCount { r with txn = r.txn - off }
+  | FwdS r -> FwdS { r with txn = r.txn - off }
+  | FwdM r -> FwdM { r with txn = r.txn - off }
+  | Unblock r -> Unblock { r with txn = r.txn - off }
+  | (GetS _ | GetM _ | Inv _ | InvAck _ | WbReq _ | WbGrant _ | WbCancel _ | WbData _) as m -> m
+
+(* Rebase every serial by its cache's offset and every txn id by
+   [toff] (see [normalize]). *)
+let rebase p s ~toff =
+  let smin = Array.make p.caches max_int in
+  let note c serial = if serial < smin.(c) then smin.(c) <- serial in
+  List.iteri (fun c cache -> if cache.wb <> None then note c cache.wb_serial) s.cs;
+  let note_msg = function
+    | WbReq { src = i; serial } | WbGrant { dst = i; serial } | WbCancel { dst = i; serial } ->
+      note i serial
+    | _ -> ()
   in
+  List.iter note_msg s.net;
+  List.iter note_msg s.dir.defer;
+  let soff = Array.map (fun m -> if m = max_int then 0 else m - 1) smin in
   let cs =
     List.mapi
       (fun c cache ->
-        if cache.wb <> None then { cache with wb_serial = cache.wb_serial - offset.(c) }
-        else { cache with wb_serial = 0 })
+        let tr =
+          match cache.tr with
+          | TWaitM { have_data; got; need; txn = Some t } ->
+            TWaitM { have_data; got; need; txn = Some (t - toff) }
+          | (TWaitM _ | TWaitS | TNone) as tr -> tr
+        in
+        let wb_serial = if cache.wb <> None then cache.wb_serial - soff.(c) else 0 in
+        { cache with tr; wb_serial })
       s.cs
   in
   let net =
     List.map
-      (fun m ->
-        match m with
-        | WbReq { src; serial } -> WbReq { src; serial = serial - offset.(src) }
-        | WbGrant { dst; serial } -> WbGrant { dst; serial = serial - offset.(dst) }
-        | WbCancel { dst; serial } -> WbCancel { dst; serial = serial - offset.(dst) }
-        | _ -> m)
+      (function
+        | WbReq { src; serial } -> WbReq { src; serial = serial - soff.(src) }
+        | WbGrant { dst; serial } -> WbGrant { dst; serial = serial - soff.(dst) }
+        | WbCancel { dst; serial } -> WbCancel { dst; serial = serial - soff.(dst) }
+        | m -> shift_txn toff m)
       s.net
   in
-  normalize_txns { s with cs; net = norm_net net }
+  (* Known defect, kept so the graph stays comparable with every
+     recorded directory row: WbReqs parked in [defer] are not rebased,
+     though their serials count towards the offsets above. A deferred
+     WbReq can then disagree with its cache's rebased buffer. In the
+     3-cache model (net_cap 3), after
+       getM2;getM0;dir;dataE;evict2;unblock;dir;fwdM-wb;getM2;dataE;
+       unblock;dir;dir;fwdM;dataE;evict2;defer;wbcancel
+     cache 2's buffer is #1 while its only writeback request, deferred,
+     still says #2: the grant comes back stale, the buffer never drains,
+     and cache 2 can never request again. Rebasing them changes the
+     directory graph and every directory row. *)
+  let dir =
+    {
+      s.dir with
+      txn_next = s.dir.txn_next - toff;
+      cur = (match s.dir.cur with Some (c, t) -> Some (c, t - toff) | None -> None);
+      defer = List.map (shift_txn toff) s.dir.defer;
+    }
+  in
+  { s with cs; net = norm_net net; dir }
+
+(* Writeback serials and transaction ids grow without bound; only their
+   relative order matters, so rebase them to keep the state space finite
+   (an order-preserving symmetry reduction): each cache's smallest live
+   serial becomes 1 (0 = "no buffer") and the smallest live txn id 0.
+
+   One allocation-free pass over the caches, the network and the
+   deferral queue finds whether any offset is non-zero. Most successors
+   need no rebase and are returned as they are: their network is already
+   sorted, since every update inserts into or removes from a sorted
+   list. *)
+let normalize p s =
+  (* bit i of [live]: cache i holds a live serial; of [ones]: one of
+     them is 1. A cache's offset is zero when it holds none, or when
+     its smallest is 1 (serials below 1 and stray serials on an empty
+     buffer take the rebase path too). *)
+  let live = ref 0 and ones = ref 0 and odd = ref false in
+  let tmin = ref s.dir.txn_next in
+  (match s.dir.cur with Some (_, t) -> if t < !tmin then tmin := t | None -> ());
+  let cs = ref s.cs and i = ref 0 in
+  while !cs != [] do
+    match !cs with
+    | [] -> ()
+    | cache :: rest ->
+      (match cache.wb with
+      | Some _ ->
+        live := !live lor (1 lsl !i);
+        if cache.wb_serial = 1 then ones := !ones lor (1 lsl !i)
+        else if cache.wb_serial < 1 then odd := true
+      | None -> if cache.wb_serial <> 0 then odd := true);
+      (match cache.tr with
+      | TWaitM { txn = Some t; _ } -> if t < !tmin then tmin := t
+      | TWaitM _ | TWaitS | TNone -> ());
+      cs := rest;
+      incr i
+  done;
+  (* the network, then the deferral queue *)
+  let msgs = ref s.net and in_defer = ref false in
+  while !msgs != [] || not !in_defer do
+    match !msgs with
+    | [] ->
+      in_defer := true;
+      msgs := s.dir.defer
+    | m :: rest ->
+      (match m with
+      | WbReq { src = c; serial } | WbGrant { dst = c; serial } | WbCancel { dst = c; serial } ->
+        live := !live lor (1 lsl c);
+        if serial = 1 then ones := !ones lor (1 lsl c) else if serial < 1 then odd := true
+      | _ ->
+        let t = txn_of m in
+        if t < !tmin then tmin := t);
+      msgs := rest
+  done;
+  if !live land lnot !ones = 0 && (not !odd) && !tmin = 0 then s else rebase p s ~toff:!tmin
 
 (* Caches other than the designated writer (0) and reader (1) are
    interchangeable; the directory/memory is the home and has no index
@@ -315,6 +356,78 @@ let apply_perm p f s =
   }
 
 let canonicalize p = Symmetry.canonical ~apply:(apply_perm p) ~movable:(movable p)
+
+(* Visited-set key (see {!Explore.MODEL.key}): the directory's scalars
+   share two ints, then one int per cache and per message, at field
+   widths that [Explore.field] checks. *)
+let pack_st = function I -> 0 | S -> 1 | O -> 2 | E -> 3 | M -> 4
+let pack_opt w = function None -> 0 | Some i -> Explore.field w (i + 1)
+
+let pack_cache c =
+  let open Explore in
+  let tr =
+    match c.tr with
+    | TNone -> 0
+    | TWaitS -> 1
+    | TWaitM { have_data; got; need; txn } ->
+      2 lor (Bool.to_int have_data lsl 2) lor (field 6 got lsl 3) lor (pack_opt 7 need lsl 9)
+      lor (pack_opt 11 txn lsl 16)
+  in
+  let wb = match c.wb with None -> 0 | Some (st, v) -> 1 lor (pack_st st lsl 1) lor (field 6 v lsl 4) in
+  pack_st c.st lor (field 6 c.ver lsl 3) lor (tr lsl 9) lor (wb lsl 36)
+  lor (field 12 c.wb_serial lsl 46)
+
+let pack_msg m =
+  let open Explore in
+  let f8 x = field 8 x and f16 x = field 16 x in
+  match m with
+  | GetS { src } -> 0 lor (f8 src lsl 4)
+  | GetM { src } -> 1 lor (f8 src lsl 4)
+  | DataS { dst; ver; txn } -> 2 lor (f8 dst lsl 4) lor (f8 ver lsl 12) lor (f16 txn lsl 20)
+  | DataE { dst; ver; acks; txn } ->
+    3 lor (f8 dst lsl 4) lor (f8 ver lsl 12) lor (f8 acks lsl 20) lor (f16 txn lsl 28)
+  | FwdS { dst; req; txn } -> 4 lor (f8 dst lsl 4) lor (f8 req lsl 12) lor (f16 txn lsl 20)
+  | FwdM { dst; req; acks; txn } ->
+    5 lor (f8 dst lsl 4) lor (f8 req lsl 12) lor (f8 acks lsl 20) lor (f16 txn lsl 28)
+  | Inv { dst; req } -> 6 lor (f8 dst lsl 4) lor (f8 req lsl 12)
+  | InvAck { dst } -> 7 lor (f8 dst lsl 4)
+  | AckCount { dst; acks; txn } -> 8 lor (f8 dst lsl 4) lor (f8 acks lsl 12) lor (f16 txn lsl 20)
+  | Unblock { src; txn } -> 9 lor (f8 src lsl 4) lor (f16 txn lsl 12)
+  | WbReq { src; serial } -> 10 lor (f8 src lsl 4) lor (f16 serial lsl 12)
+  | WbGrant { dst; serial } -> 11 lor (f8 dst lsl 4) lor (f16 serial lsl 12)
+  | WbCancel { dst; serial } -> 12 lor (f8 dst lsl 4) lor (f16 serial lsl 12)
+  | WbData { src; ver; valid } ->
+    13 lor (f8 src lsl 4) lor (f8 ver lsl 12) lor (Bool.to_int valid lsl 20)
+
+let key s =
+  let open Explore in
+  let d = s.dir in
+  let h =
+    step seed
+      (field 8 s.memver lor (field 8 s.written lsl 8)
+      lor (field 8 (bits 2 Fun.id s.reqs) lsl 16)
+      lor (pack_opt 9 d.owner lsl 24)
+      lor (Bool.to_int d.busy lsl 33)
+      lor (pack_opt 9 d.wb_from lsl 34))
+  in
+  let cur = match d.cur with None -> 0 | Some (c, t) -> 1 lor (field 8 c lsl 1) lor (field 16 t lsl 9) in
+  let h = step (step h (cur lor (field 16 d.txn_next lsl 25))) d.sharers in
+  let h = step_list pack_cache h s.cs in
+  let h = step_list pack_msg h s.net in
+  finish (step_list pack_msg h d.defer)
+
+(* The largest serial of cache [c] among [msgs], or [acc]. *)
+let rec max_serial c acc = function
+  | [] -> acc
+  | m :: rest ->
+    let acc =
+      match m with
+      | WbReq { src = i; serial } | WbGrant { dst = i; serial } | WbCancel { dst = i; serial }
+        when i = c ->
+        max acc serial
+      | _ -> acc
+    in
+    max_serial c acc rest
 
 let flat_sym p : (module Explore.MODEL with type state = state) =
   (module struct
@@ -476,7 +589,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
 
     let next s =
       let moves = ref [] in
-      let add label st = moves := (label, normalize_serials p st) :: !moves in
+      let add label st = moves := (label, normalize p st) :: !moves in
       (* deliveries *)
       List.iteri
         (fun i msg -> match deliver s i msg with Some (l, st) -> add l st | None -> ())
@@ -525,18 +638,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
               (* a fresh serial must exceed every serial still in
                  flight for this cache, or a floating stale cancel
                  could collide with the new buffer *)
-              let serial =
-                1
-                + List.fold_left
-                    (fun acc m ->
-                      match m with
-                      | WbReq { src; serial } when src = c -> max acc serial
-                      | WbGrant { dst; serial } | WbCancel { dst; serial } when dst = c ->
-                        max acc serial
-                      | _ -> acc)
-                    0
-                    (s.net @ s.dir.defer)
-              in
+              let serial = 1 + max_serial c (max_serial c 0 s.net) s.dir.defer in
               let s' =
                 {
                   s with
@@ -592,6 +694,7 @@ let flat_sym p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let key = key
     let label = Label.render label_names
 
     let pp fmt s =

@@ -9,6 +9,7 @@ module type MODEL = sig
   val goal : state -> bool
   val pp : Format.formatter -> state -> unit
   val canonicalize : state -> state
+  val key : state -> int
 end
 
 type store = Exact | Compact
@@ -46,15 +47,15 @@ let buf_push b v =
   b.n <- b.n + 1
 
 (* ------------------------------------------------------------------ *)
-(* Open-addressing fingerprint table: visited states live as int
-   fingerprints in two flat arrays, resized by re-bucketing the stored
+(* Open-addressing key table: visited states live as int keys
+   ({!MODEL.key}) in two flat arrays, resized by re-bucketing the stored
    keys (no state re-hashing, unlike [Hashtbl]). In [Exact] mode a key
    match is confirmed against the interned state; in [Compact] mode the
-   fingerprint alone decides, Cleary/bit-state style. *)
+   key alone decides, Cleary/bit-state style. *)
 
 module Tbl = struct
   type t = {
-    mutable keys : int array;  (* fingerprint + 1; 0 = empty slot *)
+    mutable keys : int array;  (* key + 1; 0 = empty slot *)
     mutable vals : int array;  (* state id *)
     mutable mask : int;
     mutable used : int;
@@ -64,7 +65,7 @@ module Tbl = struct
     let cap = 1 lsl 16 in
     { keys = Array.make cap 0; vals = Array.make cap 0; mask = cap - 1; used = 0 }
 
-  (* keys are fingerprints, whose final avalanche step already spreads
+  (* keys end with [finish], whose avalanche step already spreads
      every input bit into the low bits that pick the slot *)
   let slot t key = key land t.mask
 
@@ -111,58 +112,36 @@ end
 let two_pow_60 = 1.152921504606846976e18
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprint: one pre-order walk over the whole value (the polymorphic
-   hash samples a bounded number of nodes, and a value differing only
-   past the cap would collide). Every immediate and every block header
-   is folded into a 63-bit accumulator; the collision-probability bound
-   in [stats] assumes the finalized 60 bits behave as a uniform hash.
-   Only blocks whose fields are values are descended into, so raw words
-   are never followed as pointers. *)
+(* Key mixing: models fold their packed fields through [step] and end
+   with [finish], so every visited-set key is a 60-bit hash whose low
+   bits (which pick the table slot) depend on every input bit. The
+   collision-probability bound in [stats] assumes those 60 bits behave
+   as a uniform hash of an injective packing. *)
+
+let seed = 0x2545F4914F6CDD1D
 
 let[@inline] step h x =
   let h = (h lxor x) * 0x5851F42D4C957F2D in
   h lxor (h lsr 29)
 
-(* a header token: tag and size, tagged apart from small immediates *)
-let[@inline] header tag size = (1 lsl 61) lor (size lsl 8) lor tag
-
-let rec walk h o =
-  if Obj.is_int o then step h (Obj.obj o : int)
-  else begin
-    let tag = Obj.tag o and size = Obj.size o in
-    let h = step h (header tag size) in
-    if tag <= Obj.last_non_constant_constructor_tag then
-      if size = 0 then h else fields h o 0 (size - 1)
-    else if tag = Obj.string_tag then begin
-      let s : string = Obj.obj o in
-      let h = ref (step h (String.length s)) in
-      String.iter (fun c -> h := step !h (Char.code c)) s;
-      !h
-    end
-    else if tag = Obj.double_tag then float_bits h (Obj.obj o : float)
-    else if tag = Obj.double_array_tag then begin
-      let h = ref h in
-      for i = 0 to size - 1 do
-        h := float_bits !h (Obj.double_field o i)
-      done;
-      !h
-    end
-    else if tag = Obj.custom_tag then step h (Hashtbl.hash o)
-    else if tag = Obj.abstract_tag then h
-    else invalid_arg "Explore.fingerprint: functional or lazy value"
-  end
-
-(* the last field is a tail call, so long lists do not grow the stack *)
-and fields h o i last =
-  if i = last then walk h (Obj.field o i) else fields (walk h (Obj.field o i)) o (i + 1) last
-
-(* [=] equates 0. and -0., so they must fingerprint alike *)
-and float_bits h f = step h (Int64.to_int (Int64.bits_of_float (if f = 0. then 0. else f)))
-
-let fingerprint v =
-  let h = walk 0x2545F4914F6CDD1D (Obj.repr v) in
+let[@inline] finish h =
   let h = (h lxor (h lsr 31)) * 0x7FB5D329728EA185 in
   (h lxor (h lsr 27)) land ((1 lsl 60) - 1)
+
+let[@inline] field w x =
+  assert (x lsr w = 0);
+  x
+
+let rec step_items pack h = function [] -> h | x :: rest -> step_items pack (step h (pack x)) rest
+let step_list pack h l = step_items pack (step h (List.length l)) l
+
+let rec bits_from w pack acc = function
+  | [] -> acc
+  | x :: rest ->
+    assert (acc lsr (62 - w) = 0);
+    bits_from w pack ((acc lsl w) lor field w (pack x)) rest
+
+let bits w pack l = bits_from w pack 1 l
 
 module Make (M : MODEL) = struct
   let zero_stats =
@@ -186,7 +165,7 @@ module Make (M : MODEL) = struct
     | [] -> zero_stats
     | first_initial :: _ ->
       let keep_states = store = Exact in
-      let key_of s = fingerprint s + 1 in
+      let key_of s = M.key s + 1 in
       (* visited set *)
       let tbl = Tbl.create () in
       (* per-state bookkeeping, id-indexed; [states] is only populated
@@ -265,7 +244,7 @@ module Make (M : MODEL) = struct
       in
       (* Path rendering: O(path) via the id-indexed side array in exact
          mode; forward re-execution from the initial state in compact
-         mode (the store holds fingerprints only). *)
+         mode (the store holds keys only). *)
       let render_path id violating_state =
         let ids = path_ids id in
         match store with
@@ -356,7 +335,7 @@ module Make (M : MODEL) = struct
               succs
       in
       (* Pure per-state expansion work, safe to run on a worker domain:
-         successor generation, canonicalization and fingerprinting.
+         successor generation, canonicalization and keying.
          Interning stays on the calling domain, in frontier order, so
          parallel stats are identical to the serial run. *)
       let expand_pure (_, state) =

@@ -16,14 +16,14 @@
       configurations that differ only by a permutation of
       interchangeable nodes collapse into one representative;
     - {b compacted visited sets} ({!Compact}): the visited set stores
-      60-bit fingerprints instead of full states, Cleary/bit-state
+      60-bit keys ({!MODEL.key}) instead of full states, Cleary/bit-state
       style; the frontier carries states explicitly, so no state is
       retained after expansion. Two distinct states may collide with
       probability bounded by {!stats.collision_bound} (reported per
       run), in which case part of the graph is silently skipped —
       verification verdicts should be confirmed in {!Exact} mode;
     - {b parallel frontier expansion} ([jobs > 1]): successor
-      generation, canonicalization and fingerprinting for each BFS
+      generation, canonicalization and keying for each BFS
       level fan out across domains ([Par.Pool]); interning happens on
       the calling domain in frontier order, so the resulting stats are
       bit-identical to the serial run. Requires the model's functions
@@ -61,11 +61,20 @@ module type MODEL = sig
       {!next} up to relabeling, and must preserve {!invariant} and
       {!goal} verdicts. *)
   val canonicalize : state -> state
+
+  (** Visited-set key: a 60-bit hash of the whole state, built by
+      folding the state's fields, packed into a few ints, through
+      {!step} from {!seed} and ending with {!finish}. Equal states must
+      get equal keys. The {!Compact} store trusts the key alone, so the
+      packing must be injective (fixed field widths, length-prefixed
+      lists): distinct states then share a key only by a hash
+      collision, which {!stats.collision_bound} bounds. Must be pure. *)
+  val key : state -> int
 end
 
 (** Visited-set representation. [Exact] keys the set by full states
     (the historical semantics; states are retained for the run's
-    lifetime). [Compact] keys it by 60-bit fingerprints and never
+    lifetime). [Compact] keys it by 60-bit model keys and never
     retains states — memory drops from hundreds of bytes to ~25 bytes
     per state, at the cost of a bounded hash-collision probability. *)
 type store = Exact | Compact
@@ -86,7 +95,7 @@ type stats = {
   truncated : bool;  (** hit [max_states] before closing the graph *)
   collision_bound : float;
       (** upper bound on the probability that any two distinct states
-          shared a fingerprint ([Compact] store only; 0 for [Exact]) *)
+          shared a key ([Compact] store only; 0 for [Exact]) *)
 }
 
 module Make (M : MODEL) : sig
@@ -102,10 +111,29 @@ end
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** The 60-bit fingerprint keying both visited-set stores: one
-    traversal of the whole value, with no node cap. It descends only
-    into blocks whose fields are values and hashes strings, floats and
-    custom blocks by content, so structurally equal values (however
-    shared) get equal fingerprints. Raises [Invalid_argument] on
-    functional values, as [compare] does. *)
-val fingerprint : 'a -> int
+(** {2 Key mixing} for {!MODEL.key} *)
+
+(** Initial accumulator. *)
+val seed : int
+
+(** [step h x] folds one packed int [x] into the accumulator [h]. *)
+val step : int -> int -> int
+
+(** Final avalanche, truncated to 60 bits: the visited set picks a
+    table slot from the low bits of the result. *)
+val finish : int -> int
+
+(** [field w x] is [x], asserting that it fits in [w] bits (and is not
+    negative): a packer shifts fields into place with it, so a field
+    that outgrew its width fails loudly instead of aliasing. *)
+val field : int -> int -> int
+
+(** [step_list pack h l] folds the length of [l], then [pack x] for
+    each element, into [h]: the length prefix keeps the concatenated
+    encoding of a state's lists unambiguous. *)
+val step_list : ('a -> int) -> int -> 'a list -> int
+
+(** [bits w pack l] packs a short list into one int: a leading 1 bit
+    (whose position encodes the length), then the [w]-bit field
+    [pack x] of each element. Asserts that the result fits in 62 bits. *)
+val bits : int -> ('a -> int) -> 'a list -> int

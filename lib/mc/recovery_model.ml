@@ -144,6 +144,40 @@ let apply_perm p f s =
 
 let canonicalize p = Symmetry.canonical ~apply:(apply_perm p) ~movable:(movable p)
 
+(* Visited-set key (see {!Explore.MODEL.key}): the scalar fields share
+   one int, then one int per node and per message, at field widths that
+   [Explore.field] checks. *)
+let pack_node n =
+  let open Explore in
+  field 8 n.tok lor (Bool.to_int n.owner lsl 8) lor (Bool.to_int n.data lsl 9)
+  lor (field 8 n.ver lsl 10) lor (field 8 n.know lsl 18)
+
+let pack_msg m =
+  let open Explore in
+  match m with
+  | Tok { dst; k; owner; data; ver; ep } ->
+    (field 8 dst lsl 2) lor (field 8 k lsl 10) lor (Bool.to_int owner lsl 18)
+    lor (Bool.to_int data lsl 19) lor (field 8 ver lsl 20) lor (field 8 ep lsl 28)
+  | Bump { dst } -> 1 lor (field 8 dst lsl 2)
+  | Ack { src } -> 2 lor (field 8 src lsl 2)
+
+let key s =
+  let open Explore in
+  let h =
+    step seed
+      (field 8 s.written
+      lor (field 8 (bits 2 Fun.id s.reqs) lsl 8)
+      lor (Bool.to_int s.lost lsl 16)
+      lor (field 8 s.lost_tok lsl 17)
+      lor (Bool.to_int s.lost_own lsl 25)
+      lor (field 8 s.destroyed lsl 26)
+      lor (Bool.to_int s.destroyed_own lsl 34)
+      lor (Bool.to_int s.minted lsl 35)
+      lor (field 24 (bits 1 Bool.to_int s.acks) lsl 36))
+  in
+  let h = step_list pack_node h s.nodes in
+  finish (step_list pack_msg h s.net)
+
 let model_sym p : (module Explore.MODEL with type state = state) =
   (module struct
     type nonrec state = state
@@ -357,6 +391,7 @@ let model_sym p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let key = key
     let label = Label.render label_names
 
     let pp fmt s =

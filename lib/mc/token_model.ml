@@ -166,6 +166,42 @@ let apply_perm p f s =
 
 let canonicalize p = Symmetry.canonical ~apply:(apply_perm p) ~movable:(movable p)
 
+(* Visited-set key (see {!Explore.MODEL.key}): one int per node and per
+   message, at field widths that [Explore.field] checks. *)
+let pack_node n =
+  let open Explore in
+  field 8 n.tok lor (Bool.to_int n.owner lsl 8) lor (Bool.to_int n.data lsl 9)
+  lor (field 8 n.ver lsl 10)
+
+let pack_msg m =
+  let open Explore in
+  match m with
+  | Tok { dst; k; owner; data; ver } ->
+    (field 8 dst lsl 3) lor (field 8 k lsl 11) lor (Bool.to_int owner lsl 19)
+    lor (Bool.to_int data lsl 20) lor (field 8 ver lsl 21)
+  | Act { dst; req } -> 1 lor (field 8 dst lsl 3) lor (field 8 req lsl 11)
+  | Deact { dst; req } -> 2 lor (field 8 dst lsl 3) lor (field 8 req lsl 11)
+  | Arb_req { req } -> 3 lor (field 8 req lsl 3)
+  | Arb_done { req } -> 4 lor (field 8 req lsl 3)
+
+let pack_entry = function Empty -> 0 | Active -> 1 | Marked -> 2
+let pack_row row = Explore.bits 2 pack_entry row
+let pack_node_ix i = Explore.field 8 i
+let pack_opt = function None -> 0 | Some i -> Explore.field 8 (i + 1)
+
+let key s =
+  let open Explore in
+  let h =
+    step seed
+      (field 8 s.written lor (pack_opt s.arb_active lsl 8)
+      lor (field 16 (bits 2 Fun.id s.reqs) lsl 16))
+  in
+  let h = step_list pack_node h s.nodes in
+  let h = step_list pack_msg h s.net in
+  let h = step_list pack_row h s.tables in
+  let h = step_list pack_opt h s.node_active in
+  finish (step_list pack_node_ix h s.arb_queue)
+
 let make variant p : (module Explore.MODEL with type state = state) =
   (module struct
     type nonrec state = state
@@ -380,6 +416,7 @@ let make variant p : (module Explore.MODEL with type state = state) =
 
     let goal s = s.reqs = [ 2; 2 ]
     let canonicalize = canonicalize p
+    let key = key
     let label = Label.render label_names
 
     let pp fmt s =

@@ -15,6 +15,7 @@ let counter_model ?(bug_at = 3) ~bound ~bug () : (module Mc.Explore.MODEL) =
     let goal s = s = bound
     let pp = Format.pp_print_int
     let canonicalize s = s
+    let key = Fingerprint.of_value
   end)
 
 let run ?(max_states = 1_000_000) ?store ?jobs ?sym m () =
@@ -61,6 +62,7 @@ let test_doomed_detection () =
       let goal s = s = 1
       let pp = Format.pp_print_int
       let canonicalize s = s
+      let key = Fingerprint.of_value
     end)
   in
   let s = run m () in
@@ -243,6 +245,10 @@ let sample (type s) (module M : Mc.Explore.MODEL with type state = s) n =
   done;
   !seen
 
+(* budgeted 3-cache configs, as in tab4 *)
+let tp3 = { Mc.Token_model.caches = 3; tokens = 4; max_writes = 2; net_cap = 4 }
+let dp3 = { Mc.Dir_model.caches = 3; max_writes = 2; net_cap = 3 }
+
 let sym_tp = { Mc.Token_model.caches = 4; tokens = 5; max_writes = 1; net_cap = 2 }
 let sym_dp = { Mc.Dir_model.caches = 4; max_writes = 1; net_cap = 3 }
 let sym_rp = { Mc.Recovery_model.caches = 4; tokens = 4; max_writes = 1; net_cap = 2 }
@@ -328,6 +334,7 @@ let pair_model ~bound ~bug_sum : (module Mc.Explore.MODEL) =
     let goal (a, b) = a = bound && b = bound
     let pp fmt (a, b) = Format.fprintf fmt "(%d,%d)" a b
     let canonicalize (a, b) = if a <= b then (a, b) else (b, a)
+    let key = Fingerprint.of_value
   end)
 
 let test_canon_preserves_violation () =
@@ -358,7 +365,6 @@ let test_symmetry_helpers () =
    labels eagerly, must be identical in every store/frontier mode. *)
 
 let test_known_answer_traces () =
-  let dp3 = { Mc.Dir_model.caches = 3; max_writes = 2; net_cap = 3 } in
   List.iter
     (fun (name, m, max_states, (states, trans, diam, goals, doomed), example) ->
       List.iter
@@ -427,11 +433,12 @@ let test_label_round_trip () =
         Mc.Recovery_model.model Mc.Recovery_model.default_params );
     ]
 
-(* Fingerprint: a pure function of structure (sharing and physical
-   identity do not matter) that sees the whole value (no node cap). *)
+(* The oracle fingerprint: a pure function of structure (sharing and
+   physical identity do not matter) that sees the whole value (no node
+   cap). *)
 
 let test_fingerprint () =
-  let fp = Mc.Explore.fingerprint in
+  let fp = Fingerprint.of_value in
   let module M = (val Mc.Token_model.model Mc.Token_model.Distributed sym_tp) in
   List.iter
     (fun s ->
@@ -447,6 +454,97 @@ let test_fingerprint () =
   Alcotest.(check int) "0. and -0. are equal, so fingerprint alike" (fp (1, 0.)) (fp (1, -0.));
   Alcotest.(check bool) "content-hashed string" true (fp "ab" = fp (String.make 1 'a' ^ "b"));
   Alcotest.(check bool) "strings differ" true (fp "ab" <> fp "ba")
+
+(* Model keys: over every state of a closed graph, distinct states never
+   share a key, and equal states always do: every successor that
+   rediscovers a known state (an equal value built along another path)
+   must get the known state's key. States are enumerated under
+   structural equality. *)
+
+let all_states ?(limit = max_int) (type s) (module M : Mc.Explore.MODEL with type state = s) =
+  let module H = Hashtbl.Make (struct
+    type t = s
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 1000 1000
+  end) in
+  let seen = H.create 4096 in
+  let queue = Queue.create () in
+  let visit s =
+    let c = M.canonicalize s in
+    match H.find_opt seen c with
+    | Some k -> if M.key c <> k then Alcotest.failf "%s: equal states, different keys" M.name
+    | None ->
+      if H.length seen < limit then begin
+        H.add seen c (M.key c);
+        Queue.push c queue
+      end
+  in
+  List.iter visit M.initial;
+  while not (Queue.is_empty queue) do
+    List.iter (fun (_, s) -> visit s) (M.next (Queue.pop queue))
+  done;
+  H.fold (fun s _ acc -> s :: acc) seen []
+
+let check_keys name (type s) (module M : Mc.Explore.MODEL with type state = s) states =
+  let by_key = Hashtbl.create 4096 in
+  List.iter
+    (fun s ->
+      let k = M.key s in
+      if k < 0 || k >= 1 lsl 60 then Alcotest.failf "%s: key %d outside 60 bits" name k;
+      match Hashtbl.find_opt by_key k with
+      | Some s' when s' <> s -> Alcotest.failf "%s: two distinct states share key %d" name k
+      | Some _ | None -> Hashtbl.replace by_key k s)
+    states;
+  Alcotest.(check int) (name ^ " one key per state") (List.length states)
+    (Hashtbl.length by_key)
+
+let test_model_keys_sound () =
+  let closed name m expected =
+    let states = all_states m in
+    Alcotest.(check int) (name ^ " closed graph") expected (List.length states);
+    check_keys name m states
+  in
+  closed "tok-safety-micro" (Mc.Token_model.model Mc.Token_model.Safety micro) 984;
+  closed "tok-dst-micro" (Mc.Token_model.model Mc.Token_model.Distributed micro) 123929;
+  closed "dir-2c" (Mc.Dir_model.flat_sym dir2) 403;
+  closed "recovery-default" (Mc.Recovery_model.model_sym Mc.Recovery_model.default_params) 133284;
+  (* budgeted 3-cache graphs (deeper serial and txn spaces) and four
+     caches (wider node indices, canonicalized states) *)
+  check_keys "dir-3c" (Mc.Dir_model.flat_sym dp3)
+    (all_states ~limit:20_000 (Mc.Dir_model.flat_sym dp3));
+  check_keys "tok-dst-3c"
+    (Mc.Token_model.model Mc.Token_model.Distributed tp3)
+    (all_states ~limit:20_000 (Mc.Token_model.model Mc.Token_model.Distributed tp3));
+  check_keys "tok-arb-4c"
+    (Mc.Token_model.model Mc.Token_model.Arbiter sym_tp)
+    (sample (Mc.Token_model.model Mc.Token_model.Arbiter sym_tp) 500);
+  check_keys "dir-4c" (Mc.Dir_model.flat_sym sym_dp) (sample (Mc.Dir_model.flat_sym sym_dp) 500);
+  check_keys "recovery-4c"
+    (Mc.Recovery_model.model_sym sym_rp)
+    (sample (Mc.Recovery_model.model_sym sym_rp) 500)
+
+(* Stats under the models' packed keys equal the stats under the oracle
+   walk, in every store and frontier mode. (On the big closed graphs this
+   follows from the test above: a key injective on the reachable states
+   gives the exact store's stats, which the differential suite pins.) *)
+let test_model_keys_match_oracle () =
+  List.iter
+    (fun (name, m, max_states) ->
+      let module M = (val m : Mc.Explore.MODEL) in
+      let base = run (module Fingerprint.Keyed (M)) ~max_states ~store:Mc.Explore.Exact () in
+      List.iter
+        (fun (mode, store, jobs) ->
+          check_same_stats (name ^ " " ^ mode) base (run m ~max_states ~store ~jobs ()))
+        [ ("exact", Mc.Explore.Exact, 1); ("compact", Mc.Explore.Compact, 1);
+          ("compact -j 2", Mc.Explore.Compact, 2) ])
+    [
+      ("tok-safety-micro", Mc.Token_model.safety micro, 1_000_000);
+      ("dir-2c", Mc.Dir_model.flat dir2, 1_000_000);
+      ("tok-dst-3c budgeted", Mc.Token_model.distributed tp3, 20_000);
+      ("recovery budgeted", Mc.Recovery_model.model Mc.Recovery_model.default_params, 20_000);
+      ("dir-3c budgeted", Mc.Dir_model.flat dp3, 30_000);
+    ]
 
 let tests =
   [
@@ -489,4 +587,7 @@ let tests =
     Alcotest.test_case "known-answer traces in every mode" `Slow test_known_answer_traces;
     Alcotest.test_case "label decoder round trip" `Quick test_label_round_trip;
     Alcotest.test_case "fingerprint is structural and uncapped" `Quick test_fingerprint;
+    Alcotest.test_case "model keys: injective and structural" `Slow test_model_keys_sound;
+    Alcotest.test_case "model keys: stats equal the oracle walk's" `Slow
+      test_model_keys_match_oracle;
   ]
